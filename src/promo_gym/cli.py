@@ -157,22 +157,14 @@ def cmd_build(manifest: RunManifest) -> int:
     env_choice = manifest.environment
     out = _ensure_out(manifest)
 
-    if env_choice.kind == "frozen-lake":
-        table = make_frozen_lake(slippery=env_choice.slippery)
-    elif env_choice.kind == "table":
-        if env_choice.table_path is None:
-            raise EmptyInput("environment kind 'table' needs table_path")
-        table = tables.deserialize(
-            Path(env_choice.table_path).read_text(encoding="utf-8")
-        )
+    if env_choice.kind == "table":
+        table = _load_run_table(manifest)
+    elif env_choice.kind == "frozen-lake":
+        table = _validated(make_frozen_lake(slippery=env_choice.slippery), "built table")
     else:
         spec = _resolve_grid_spec(manifest)
         _write_text(out / "grid_spec.json", promoenv.spec_to_json(spec))
-        table = promoenv.build_promo_mdp(spec)
-
-    violations = tables.validate(table)
-    if violations:
-        raise SchemaError("built table failed validation: " + "; ".join(violations))
+        table = _validated(promoenv.build_promo_mdp(spec), "built table")
     table_path = out / "table.json"
     _write_text(table_path, tables.serialize(table))
     print(f"table: {table.n_states} states x {table.n_actions} actions, "
@@ -220,9 +212,8 @@ def cmd_train(manifest: RunManifest) -> int:
           f"(seed {manifest.learner.seed}) -> {q_path}")
 
     series = metrics.compute_metrics(traces)
+    _write_metrics(out, series, manifest.emit.metrics, manifest.emit.plots)
     if manifest.emit.metrics:
-        metrics.write_mean_cumulative_csv(out / "mean_cumulative.csv", series)
-        metrics.write_episodic_csv(out / "episodic.csv", series)
         print(f"metrics -> {out / 'mean_cumulative.csv'}, {out / 'episodic.csv'}")
     if manifest.emit.traces:
         trace_dir = out / "traces"
@@ -231,16 +222,6 @@ def cmd_train(manifest: RunManifest) -> int:
             metrics.write_trace_csv(trace_dir / f"episode_{i:05d}.csv", trace)
         print(f"traces -> {trace_dir} ({len(traces)} files)")
     if manifest.emit.plots:
-        metrics.write_line_chart_svg(
-            out / "mean_cumulative.svg",
-            [(float(s), v) for s, v in series.mean_cumulative],
-            "Mean cumulative reward", "step", "mean cumulative reward",
-        )
-        metrics.write_line_chart_svg(
-            out / "episodic.svg",
-            [(float(e), v) for e, v in series.episodic],
-            "Episodic reward", "episode", "total reward",
-        )
         print(f"plots -> {out / 'mean_cumulative.svg'}, {out / 'episodic.svg'}")
 
     report = evaluate_greedy(env, q, episodes=100,
@@ -278,13 +259,14 @@ def cmd_render(trace_path: Path, table_path: Path) -> int:
         if not path.exists():
             raise EmptyInput(f"file not found: {path}")
     trace = metrics.read_trace_csv(trace_path)
-    table = tables.deserialize(table_path.read_text(encoding="utf-8"))
+    table = _load_table(table_path)
     print(rendering.render_trace(trace, table))
     return 0
 
 
 def cmd_export_metrics(manifest: RunManifest) -> int:
-    """Recompute the metrics CSVs from trace files saved by train."""
+    """Recompute the metrics CSVs (and charts, with emit.plots) from trace
+    files saved by train."""
     trace_dir = manifest.out_dir / "traces"
     trace_files = sorted(trace_dir.glob("episode_*.csv")) if trace_dir.exists() else []
     if not trace_files:
@@ -293,16 +275,9 @@ def cmd_export_metrics(manifest: RunManifest) -> int:
     traces = [metrics.read_trace_csv(path) for path in trace_files]
     series = metrics.compute_metrics(traces)
     out = _ensure_out(manifest)
-    metrics.write_mean_cumulative_csv(out / "mean_cumulative.csv", series)
-    metrics.write_episodic_csv(out / "episodic.csv", series)
+    _write_metrics(out, series, True, manifest.emit.plots)
     print(f"metrics over {len(traces)} traces -> {out / 'mean_cumulative.csv'}, "
           f"{out / 'episodic.csv'}")
-    if manifest.emit.plots:
-        metrics.write_line_chart_svg(
-            out / "mean_cumulative.svg",
-            [(float(s), v) for s, v in series.mean_cumulative],
-            "Mean cumulative reward", "step", "mean cumulative reward",
-        )
     return 0
 
 
@@ -318,7 +293,40 @@ def _load_run_table(manifest: RunManifest) -> tables.TransitionTable:
         path = manifest.out_dir / "table.json"
         if not path.exists():
             raise EmptyInput(f"{path} missing; run `promo-gym build` first")
-    return tables.deserialize(Path(path).read_text(encoding="utf-8"))
+    return _load_table(Path(path))
+
+
+def _load_table(path: Path) -> tables.TransitionTable:
+    """Read a table file the one way every command does: deserialize, then
+    validate."""
+    return _validated(tables.deserialize(path.read_text(encoding="utf-8")),
+                      f"table {path}")
+
+
+def _validated(table: tables.TransitionTable, what: str) -> tables.TransitionTable:
+    violations = tables.validate(table)
+    if violations:
+        raise SchemaError(f"{what} failed validation: " + "; ".join(violations))
+    return table
+
+
+def _write_metrics(out: Path, series: metrics.MetricsSeries, csvs: bool,
+                   plots: bool) -> None:
+    """The metrics CSVs and line charts, as train and export-metrics write them."""
+    if csvs:
+        metrics.write_mean_cumulative_csv(out / "mean_cumulative.csv", series)
+        metrics.write_episodic_csv(out / "episodic.csv", series)
+    if plots:
+        metrics.write_line_chart_svg(
+            out / "mean_cumulative.svg",
+            [(float(s), v) for s, v in series.mean_cumulative],
+            "Mean cumulative reward", "step", "mean cumulative reward",
+        )
+        metrics.write_line_chart_svg(
+            out / "episodic.svg",
+            [(float(e), v) for e, v in series.episodic],
+            "Episodic reward", "episode", "total reward",
+        )
 
 
 def _ensure_out(manifest: RunManifest) -> Path:

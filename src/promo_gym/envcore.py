@@ -1,4 +1,5 @@
-"""Environment interface contracts: discrete spaces, step outcomes, seeded RNG.
+"""Building blocks shared by every environment: discrete spaces, seeded
+RNG streams and the text grid.
 
 Every environment in the toolkit is episodic and discrete: states and
 actions are integer indices, one step samples a single transition, and
@@ -8,8 +9,7 @@ can be replayed bit-for-bit.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,20 +28,6 @@ class DiscreteSpace:
 
     def contains(self, index: int) -> bool:
         return 0 <= index < self.size
-
-    def sample(self, rng: "RngStream") -> int:
-        """Uniform draw over the space."""
-        return rng.integers(self.size)
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    """One realized transition: where we landed, what it paid, whether it ended."""
-
-    next_state: int
-    reward: float
-    done: bool
-    info: dict[str, str] = field(default_factory=dict)
 
 
 class RngStream:
@@ -80,30 +66,6 @@ class RngStream:
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, key={self.key}, algorithm={self.ALGORITHM!r})"
-
-
-class Environment(ABC):
-    """Episodic environment over discrete state/action spaces.
-
-    Contract: reset() starts an episode and returns the initial state;
-    step() advances exactly one transition and is an error once the
-    episode has finished; render() is a pure function of current state.
-    """
-
-    action_space: DiscreteSpace
-    observation_space: DiscreteSpace
-
-    @abstractmethod
-    def reset(self, rng: RngStream) -> int:
-        """Begin a new episode; returns the initial state index."""
-
-    @abstractmethod
-    def step(self, action: int, rng: RngStream) -> StepOutcome:
-        """Take one action and sample the resulting transition."""
-
-    @abstractmethod
-    def render(self) -> str:
-        """Fixed-width text grid with the current state marked."""
 
 
 def format_grid(rows: int, width: int, mark_state: int | None,

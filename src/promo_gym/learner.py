@@ -15,11 +15,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .envcore import Environment, RngStream
+from .envcore import RngStream
 from .errors import ConfigError, DimensionMismatch, NonFinite, ParseError, SchemaError
+from .tables import TabularEnv
 
 # leading sub-stream keys keep training and evaluation randomness disjoint
 TRAIN_STREAM = 0
@@ -49,6 +51,11 @@ class QTable:
         return QTable(self.n_states, self.n_actions, self.values.copy())
 
 
+# LearnerConfig fields by the type they must hold; a bool is neither
+_REAL_FIELDS = ("alpha", "gamma", "epsilon_start", "epsilon_end")
+_INT_FIELDS = ("epsilon_decay_episodes", "episodes", "max_steps_per_episode", "seed")
+
+
 @dataclass(frozen=True)
 class LearnerConfig:
     """Training hyperparameters; all surfaced, all validated.
@@ -68,6 +75,14 @@ class LearnerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in _REAL_FIELDS + _INT_FIELDS:
+            value = getattr(self, name)
+            if value is None and name == "epsilon_decay_episodes":
+                continue
+            kind = int if name in _INT_FIELDS else (int, float)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                what = "an integer" if kind is int else "a number"
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
         if not (0.0 < self.alpha <= 1.0):
             raise ConfigError(f"alpha must be in (0, 1], got {self.alpha}")
         if not (0.0 <= self.gamma < 1.0):
@@ -84,8 +99,8 @@ class LearnerConfig:
             raise ConfigError("max_steps_per_episode must be >= 1")
         if self.epsilon_decay_episodes is not None and self.epsilon_decay_episodes < 1:
             raise ConfigError("epsilon_decay_episodes must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if not (0 <= self.seed < 2**64):
+            raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
     def decay_episodes(self) -> int:
         if self.epsilon_decay_episodes is not None:
@@ -118,6 +133,17 @@ class EpisodeTrace:
     total_reward: float
     truncated: bool
 
+    @classmethod
+    def from_steps(cls, steps: list[TraceStep]) -> "EpisodeTrace":
+        """Derive the running totals and truncation from the steps.
+
+        The running sum starts at 0.0, so a -0.0 reward totals 0.0.
+        An episode is truncated unless its last step ended it.
+        """
+        cumulative = list(accumulate((s.reward for s in steps), initial=0.0))
+        return cls(steps=steps, cumulative=cumulative[1:], total_reward=cumulative[-1],
+                   truncated=not (steps and steps[-1].done))
+
 
 def act(q: QTable, state: int, epsilon: float, rng: RngStream) -> int:
     """Epsilon-greedy: explore uniformly with probability epsilon, else
@@ -144,34 +170,27 @@ def greedy_policy(q: QTable) -> np.ndarray:
     return np.argmax(q.values, axis=1)
 
 
-def run_episode(env: Environment, q: QTable, config: LearnerConfig,
+def run_episode(env: TabularEnv, q: QTable, config: LearnerConfig,
                 epsilon: float, rng: RngStream, learning: bool) -> EpisodeTrace:
     """Roll one episode: act, step, (optionally) update, until done or
     the step cap. With learning=False the Q-table is left untouched."""
     state = env.reset(rng)
     steps: list[TraceStep] = []
-    cumulative: list[float] = []
-    total = 0.0
-    done = False
     for _ in range(config.max_steps_per_episode):
         action = act(q, state, epsilon, rng)
         outcome = env.step(action, rng)
         if learning:
             q_update(q, state, action, outcome.reward, outcome.next_state,
                      outcome.done, config.alpha, config.gamma)
-        total += outcome.reward
         steps.append(TraceStep(state, action, outcome.reward,
                                outcome.next_state, outcome.done))
-        cumulative.append(total)
         state = outcome.next_state
-        done = outcome.done
-        if done:
+        if outcome.done:
             break
-    return EpisodeTrace(steps=steps, cumulative=cumulative, total_reward=total,
-                        truncated=not done)
+    return EpisodeTrace.from_steps(steps)
 
 
-def train(env: Environment, config: LearnerConfig) -> tuple[QTable, list[EpisodeTrace]]:
+def train(env: TabularEnv, config: LearnerConfig) -> tuple[QTable, list[EpisodeTrace]]:
     """Run the full training loop; reproducible from config.seed alone.
 
     Episode i draws from the sub-stream (seed, 0, i), so its randomness
@@ -189,7 +208,7 @@ def train(env: Environment, config: LearnerConfig) -> tuple[QTable, list[Episode
     return q, traces
 
 
-def evaluate_greedy(env: Environment, q: QTable, episodes: int, max_steps: int,
+def evaluate_greedy(env: TabularEnv, q: QTable, episodes: int, max_steps: int,
                     seed: int) -> dict:
     """Run greedy (epsilon = 0) episodes with learning off; summarize.
 
@@ -248,10 +267,13 @@ def qtable_from_json(text: str) -> QTable:
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
     try:
-        return QTable(
+        q = QTable(
             n_states=int(doc["n_states"]),
             n_actions=int(doc["n_actions"]),
             values=np.asarray(doc["values"], dtype=float),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad q-table document: {exc}") from exc
+    if not np.isfinite(q.values).all():
+        raise SchemaError("bad q-table document: values must be finite")
+    return q

@@ -124,10 +124,13 @@ def load_manifest(path: str | Path) -> RunManifest:
     def resolve(value: str | None) -> Path | None:
         if value is None:
             return None
+        if not isinstance(value, str):
+            raise ConfigError(f"expected a path string, got {value!r}")
         p = Path(value)
         return p if p.is_absolute() else base / p
 
-    inputs_doc = doc.get("inputs", {})
+    doc = _object(doc, "manifest")
+    inputs_doc = _object(doc.get("inputs", {}), "inputs")
     inputs = InputPaths(
         promo_plan=resolve(inputs_doc.get("promo_plan")),
         online_transactions=resolve(inputs_doc.get("online_transactions")),
@@ -136,7 +139,7 @@ def load_manifest(path: str | Path) -> RunManifest:
         zip_store_map=resolve(inputs_doc.get("zip_store_map")),
     )
 
-    env_doc = doc.get("environment", {})
+    env_doc = _object(doc.get("environment", {}), "environment")
     kind = env_doc.get("kind", "promo")
     if kind not in ENV_KINDS:
         raise ConfigError(f"environment kind {kind!r} not one of {ENV_KINDS}")
@@ -147,19 +150,19 @@ def load_manifest(path: str | Path) -> RunManifest:
     if env_doc.get("target_week") is not None:
         try:
             target_week = date.fromisoformat(env_doc["target_week"])
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad target_week: {exc}") from None
     environment = EnvironmentChoice(
         kind=kind,
-        slippery=bool(env_doc.get("slippery", False)),
+        slippery=_flag(env_doc, "slippery", False),
         table_path=resolve(env_doc.get("table_path")),
         grid_spec=grid_spec,
         grid_spec_path=resolve(env_doc.get("grid_spec_path")),
         target_week=target_week,
-        allow_empty_promos=bool(env_doc.get("allow_empty_promos", False)),
+        allow_empty_promos=_flag(env_doc, "allow_empty_promos", False),
     )
 
-    learner_doc = doc.get("learner", {})
+    learner_doc = _object(doc.get("learner", {}), "learner")
     known = {
         "alpha", "gamma", "epsilon_start", "epsilon_end",
         "epsilon_decay_episodes", "episodes", "max_steps_per_episode", "seed",
@@ -169,11 +172,11 @@ def load_manifest(path: str | Path) -> RunManifest:
         raise ConfigError(f"unknown learner fields: {sorted(unknown)}")
     learner = LearnerConfig(**learner_doc)
 
-    emit_doc = doc.get("emit", {})
+    emit_doc = _object(doc.get("emit", {}), "emit")
     emit = EmitFlags(
-        metrics=bool(emit_doc.get("metrics", True)),
-        traces=bool(emit_doc.get("traces", False)),
-        plots=bool(emit_doc.get("plots", False)),
+        metrics=_flag(emit_doc, "metrics", True),
+        traces=_flag(emit_doc, "traces", False),
+        plots=_flag(emit_doc, "plots", False),
     )
 
     out_dir = resolve(doc.get("out_dir", "out"))
@@ -190,3 +193,16 @@ def load_manifest(path: str | Path) -> RunManifest:
         if ref is not None and not Path(ref).exists():
             raise ConfigError(f"manifest references a missing file: {ref}")
     return manifest
+
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _flag(section: dict, key: str, default: bool) -> bool:
+    value = section.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value

@@ -73,25 +73,17 @@ def read_trace_csv(source: str | Path | TextIO) -> EpisodeTrace:
     header = next(reader, None)
     if header != ["step", "state", "action", "reward", "next_state", "done"]:
         raise EmptyInput(f"not a trace file: header {header}")
-    steps = []
-    cumulative = []
-    total = 0.0
-    for row in reader:
-        if not row:
-            continue
-        step = TraceStep(
+    steps = [
+        TraceStep(
             state=int(row[1]),
             action=int(row[2]),
             reward=float(row[3]),
             next_state=int(row[4]),
             done=row[5] == "true",
         )
-        steps.append(step)
-        total += step.reward
-        cumulative.append(total)
-    done = bool(steps) and steps[-1].done
-    return EpisodeTrace(steps=steps, cumulative=cumulative, total_reward=total,
-                        truncated=not done)
+        for row in reader if row
+    ]
+    return EpisodeTrace.from_steps(steps)
 
 
 def _write_rows(target: str | Path | TextIO, header: list[str], rows) -> None:

@@ -291,7 +291,7 @@ def spec_from_json(text: str) -> PromoGridSpec:
             ),
             goal_reward=float(doc.get("goal_reward", DEFAULT_GOAL_REWARD)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad grid spec document: {exc}") from exc
     spec.check()
     return spec

@@ -9,6 +9,7 @@ positive reward is the successful forecast and gets flagged.
 
 from __future__ import annotations
 
+from .envcore import format_grid
 from .errors import NoLayout, StateOutOfRange
 from .learner import EpisodeTrace
 from .promoenv import ACTION_NAMES, GRID_WIDTH, N_ACTIONS
@@ -33,7 +34,7 @@ def render_trace(trace: EpisodeTrace, table: TransitionTable) -> str:
     start = trace.steps[0].state
     _check_state(start, table)
     lines.append(f"start  state={start} (row {start // width}, col {start % width})")
-    lines.append(_grid(rows, width, start, goals))
+    lines.append(_frame(rows, width, start, goals))
 
     for i, step in enumerate(trace.steps):
         _check_state(step.next_state, table)
@@ -46,7 +47,7 @@ def render_trace(trace: EpisodeTrace, table: TransitionTable) -> str:
         if step.done and step.reward > 0:
             note += "  FORECAST ✓"
         lines.append(note)
-        lines.append(_grid(rows, width, step.next_state, goals))
+        lines.append(_frame(rows, width, step.next_state, goals))
     return "\n".join(lines)
 
 
@@ -58,16 +59,11 @@ def _header(width: int, promo_style: bool) -> str:
     return "".join(name.ljust(_CELL_W) for name in names).rstrip()
 
 
-def _grid(rows: int, width: int, mark: int, goals: set[int]) -> str:
-    out = []
-    for r in range(rows):
-        cells = []
-        for c in range(width):
-            s = r * width + c
-            char = "@" if s == mark else ("G" if s in goals else ".")
-            cells.append(char.ljust(_CELL_W))
-        out.append("".join(cells).rstrip())
-    return "\n".join(out)
+def _frame(rows: int, width: int, mark: int, goals: set[int]) -> str:
+    """format_grid with every cell padded to the header's column width."""
+    gap = " " * (_CELL_W - 1)
+    return "\n".join(gap.join(line)
+                     for line in format_grid(rows, width, mark, goals).splitlines())
 
 
 def _check_state(state: int, table: TransitionTable) -> None:

@@ -11,8 +11,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
+from typing import Callable
 
-from .envcore import DiscreteSpace, RngStream, StepOutcome, format_grid
+from .envcore import DiscreteSpace, RngStream, format_grid
 from .errors import (
     InvalidAction,
     InvalidState,
@@ -141,7 +143,7 @@ def validate(table: TransitionTable) -> list[str]:
 
 
 def step_sample(table: TransitionTable, state: int, action: int,
-                rng: RngStream) -> StepOutcome:
+                rng: RngStream) -> TransitionEntry:
     """Draw one outcome for (state, action) by inverse CDF in listed order.
 
     Single-entry lists short-circuit without consuming randomness, so
@@ -151,43 +153,44 @@ def step_sample(table: TransitionTable, state: int, action: int,
         raise InvalidState(f"state {state} out of range 0..{table.n_states - 1}")
     if not (0 <= action < table.n_actions):
         raise InvalidAction(f"action {action} out of range 0..{table.n_actions - 1}")
-    entries = table.entries[state][action]
-    if len(entries) == 1:
-        e = entries[0]
-    else:
-        u = rng.random()
-        acc = 0.0
-        e = entries[-1]  # guard against float mass summing just under 1
-        for cand in entries:
-            acc += cand.probability
-            if u < acc:
-                e = cand
-                break
-    return StepOutcome(next_state=e.next_state, reward=e.reward, done=e.done)
+    return _inverse_cdf(table.entries[state][action], _ENTRY_PROBABILITY, rng)
 
 
 def sample_initial_state(table: TransitionTable, rng: RngStream) -> int:
     """Draw an initial state; single-point distributions skip the rng."""
     items = sorted(table.initial_distribution.items())
-    if len(items) == 1:
-        return items[0][0]
+    return _inverse_cdf(items, _ITEM_PROBABILITY, rng)[0]
+
+
+_ENTRY_PROBABILITY = attrgetter("probability")
+_ITEM_PROBABILITY = itemgetter(1)
+
+
+def _inverse_cdf(outcomes: list, probability: Callable[[object], float],
+                 rng: RngStream):
+    """One uniform draw mapped through the cumulative probabilities, in
+    listed order. A single outcome is returned without drawing; the last
+    outcome also catches float mass that sums to just under 1."""
+    if len(outcomes) == 1:
+        return outcomes[0]
     u = rng.random()
     acc = 0.0
-    state = items[-1][0]
-    for s, p in items:
-        acc += p
+    for outcome in outcomes:
+        acc += probability(outcome)
         if u < acc:
-            state = s
-            break
-    return state
+            return outcome
+    return outcomes[-1]
 
 
 class TabularEnv:
     """Sampling environment over a validated TransitionTable.
 
-    Holds the episode cursor (current state, step count, done flag);
-    a single instance is single-threaded, distinct instances share
-    nothing mutable.
+    The Gym contract: reset() starts an episode and returns the initial
+    state; step() samples exactly one transition and returns its table
+    entry, and is an error once the episode has finished; render() is a
+    pure function of the current state. Holds the episode cursor
+    (current state, step count, done flag); a single instance is
+    single-threaded, distinct instances share nothing mutable.
     """
 
     def __init__(self, table: TransitionTable):
@@ -205,15 +208,11 @@ class TabularEnv:
         self.episode_done = False
         return self.current_state
 
-    def step(self, action: int, rng: RngStream) -> StepOutcome:
+    def step(self, action: int, rng: RngStream) -> TransitionEntry:
         if self.current_state is None:
             raise SteppedAfterDone("step() before reset()")
         if self.episode_done:
             raise SteppedAfterDone("step() on a finished episode; call reset()")
-        if not self.action_space.contains(action):
-            raise InvalidAction(
-                f"action {action} out of range 0..{self.action_space.size - 1}"
-            )
         outcome = step_sample(self.table, self.current_state, action, rng)
         self.current_state = outcome.next_state
         self.steps_taken += 1

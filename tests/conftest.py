@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,17 @@ from promo_gym.frozen_lake import make_frozen_lake
 from promo_gym.promoenv import build_promo_mdp, reference_grid_spec
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SRC = FIXTURES.parent / "src"
+
+
+@pytest.fixture(scope="session", autouse=True)
+def src_on_child_path():
+    """Child interpreters, such as the console entry-point tests start, import
+    promo_gym from this checkout's src/ as the test process does."""
+    paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PYTHONPATH", os.pathsep.join(p for p in paths if p))
+        yield
 
 
 @pytest.fixture(scope="session")

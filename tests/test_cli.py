@@ -195,6 +195,48 @@ class TestTrainCommand:
         assert "trace" in capsys.readouterr().err
 
 
+    def test_export_metrics_rewrites_both_charts(self, built_run, tmp_path):
+        doc = json.loads(built_run.read_text())
+        doc["emit"]["plots"] = True
+        built_run.write_text(json.dumps(doc))
+        assert main(["train", "--manifest", str(built_run)]) == 0
+        charts = {}
+        for name in ("mean_cumulative.svg", "episodic.svg"):
+            charts[name] = (tmp_path / "out" / name).read_bytes()
+            (tmp_path / "out" / name).unlink()
+        assert main(["export-metrics", "--manifest", str(built_run)]) == 0
+        for name, data in charts.items():
+            assert (tmp_path / "out" / name).read_bytes() == data
+
+    def test_seed_beyond_64_bits_exit_2(self, built_run, capsys):
+        assert main(["train", "--manifest", str(built_run),
+                     "--seed", str(2**64)]) == 2
+        assert "seed" in capsys.readouterr().err
+
+    def test_invalid_table_file_rejected_by_every_reader(self, built_run, tmp_path,
+                                                         capsys):
+        # probability mass 1.37 at (35, realign)
+        doc = json.loads((tmp_path / "out" / "table.json").read_text())
+        doc["P"]["35"]["3"].append([0.37, 35, -10.0, False])
+        bad = tmp_path / "bad_table.json"
+        bad.write_text(json.dumps(doc))
+        manifest = tmp_path / "table_manifest.json"
+        manifest.write_text(json.dumps({
+            "environment": {"kind": "table", "table_path": "bad_table.json"},
+            "learner": {"episodes": 10, "max_steps_per_episode": 20},
+            "out_dir": "table_out",
+        }))
+        assert main(["train", "--manifest", str(built_run)]) == 0
+        trace = tmp_path / "out" / "traces" / "episode_00000.csv"
+        capsys.readouterr()
+        for argv in (["build", "--manifest", str(manifest)],
+                     ["train", "--manifest", str(manifest)],
+                     ["eval", "--manifest", str(manifest)],
+                     ["render", "--trace", str(trace), "--table", str(bad)]):
+            assert main(argv) == 2
+            assert "state 35, action 3: probability mass" in capsys.readouterr().err
+
+
 class TestEvalCommand:
     def test_eval_after_train(self, built_run, tmp_path, capsys):
         main(["train", "--manifest", str(built_run)])

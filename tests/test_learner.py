@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from promo_gym.envcore import RngStream
-from promo_gym.errors import ConfigError, DimensionMismatch, NonFinite
+from promo_gym.errors import ConfigError, DimensionMismatch, NonFinite, SchemaError
 from promo_gym.learner import (
     LearnerConfig,
     QTable,
@@ -288,3 +288,9 @@ class TestQTableDocument:
     def test_shape_checked(self):
         with pytest.raises(DimensionMismatch):
             QTable(2, 2, np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_values_rejected(self, value):
+        text = f'{{"n_states": 1, "n_actions": 2, "values": [[0.5, {value}]]}}'
+        with pytest.raises(SchemaError):
+            qtable_from_json(text)

@@ -3,6 +3,7 @@ from datetime import date
 
 import pytest
 
+from promo_gym.cli import main
 from promo_gym.errors import ConfigError
 from promo_gym.manifest import load_manifest, manifest_to_json
 
@@ -60,3 +61,39 @@ def test_unknown_learner_field_rejected(tmp_path):
 def test_missing_manifest_rejected(tmp_path):
     with pytest.raises(ConfigError):
         load_manifest(tmp_path / "nope.json")
+
+
+@pytest.mark.parametrize("doc", [
+    {"environment": {"kind": "frozen-lake", "slippery": "false"}},
+    {"environment": {"allow_empty_promos": "true"}},
+    {"emit": {"metrics": "false"}},
+    {"emit": {"traces": 1}},
+    {"emit": {"plots": None}},
+    [],
+    {"inputs": ["rx.csv"]},
+    {"environment": "promo"},
+    {"learner": None},
+    {"emit": []},
+    {"learner": {"episodes": "10"}},
+    {"learner": {"alpha": None}},
+    {"learner": {"seed": 1.5}},
+    {"learner": {"max_steps_per_episode": True}},
+    {"environment": {"target_week": 20150608}},
+    {"out_dir": 5},
+])
+def test_malformed_manifest_exits_2(tmp_path, capsys, doc):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError):
+        load_manifest(path)
+    assert main(["build", "--manifest", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_malformed_inline_grid_spec_exits_2(tmp_path, fixtures_dir, capsys):
+    spec_doc = json.loads((fixtures_dir / "reference_grid_spec.json").read_text())
+    spec_doc["avail"] = list(spec_doc["avail"].values())
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"environment": {"grid_spec": spec_doc}}))
+    assert main(["build", "--manifest", str(path)]) == 2
+    assert "grid spec" in capsys.readouterr().err

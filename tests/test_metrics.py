@@ -91,6 +91,16 @@ class TestCsvEmission:
         assert again == trace
 
 
+    def test_negative_zero_reward_totals_positive_zero(self):
+        buffer = io.StringIO()
+        write_trace_csv(buffer, trace_from_rewards([-0.0]))
+        buffer.seek(0)
+        trace = read_trace_csv(buffer)
+        assert trace.steps[0].reward == 0.0
+        assert [str(v) for v in trace.cumulative] == ["0.0"]
+        assert str(trace.total_reward) == "0.0"
+
+
 class TestSvg:
     def test_chart_is_wellformed_and_deterministic(self, tmp_path):
         points = [(float(i), float(i * i % 7)) for i in range(1, 50)]
