@@ -58,7 +58,7 @@ class RngStream:
 
     def random(self) -> float:
         """Uniform float in [0, 1)."""
-        return float(self._gen.random())
+        return self._gen.random()
 
     def integers(self, n: int) -> int:
         """Uniform integer in [0, n)."""

@@ -16,6 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,8 +116,7 @@ def epsilon_schedule(config: LearnerConfig, episode: int) -> float:
     return config.epsilon_start + (config.epsilon_end - config.epsilon_start) * frac
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     state: int
     action: int
     reward: float
@@ -150,18 +150,22 @@ def act(q: QTable, state: int, epsilon: float, rng: RngStream) -> int:
     take the lowest-index argmax of the state's Q row."""
     if epsilon > 0.0 and rng.random() < epsilon:
         return rng.integers(q.n_actions)
-    return int(np.argmax(q.values[state]))
+    row = q.values[state].tolist()
+    return row.index(max(row))
 
 
 def q_update(q: QTable, s: int, a: int, r: float, s_next: int, done: bool,
              alpha: float, gamma: float) -> float:
     """Apply one TD update in place; returns the new value at (s, a)."""
-    old = float(q.values[s, a])
-    target = r if done else r + gamma * float(np.max(q.values[s_next]))
+    values = q.values
+    old = values.item(s, a)
+    # among tied zeros builtin max may keep a different signed zero than
+    # np.max; the stored value comes out bit-identical either way
+    target = r if done else r + gamma * max(values[s_next].tolist())
     new = old + alpha * (target - old)
     if not math.isfinite(new):
         raise NonFinite(f"update at ({s}, {a}) produced {new}")
-    q.values[s, a] = new
+    values[s, a] = new
     return new
 
 

@@ -257,6 +257,10 @@ def serialize(table: TransitionTable) -> str:
     return json.dumps(doc, indent=1)
 
 
+# the exact types json.loads gives a number; bool, a subclass of int, is excluded
+_JSON_NUMBER = (int, float)
+
+
 def deserialize(text: str) -> TransitionTable:
     try:
         doc = json.loads(text)
@@ -273,9 +277,14 @@ def deserialize(text: str) -> TransitionTable:
     if not isinstance(n_states, int) or not isinstance(n_actions, int):
         raise SchemaError("n_states and n_actions must be integers")
 
+    if not isinstance(doc["initial_distribution"], dict):
+        raise SchemaError("initial_distribution must be an object keyed by state index")
     initial = {}
     for key, p in doc["initial_distribution"].items():
         s = _parse_index(key, n_states, "initial_distribution")
+        if type(p) not in _JSON_NUMBER:
+            raise SchemaError(f"initial_distribution: probability {p!r} for state {s} "
+                              "is not a number")
         initial[s] = float(p)
 
     layout = None
@@ -283,7 +292,9 @@ def deserialize(text: str) -> TransitionTable:
         lay = doc["layout"]
         if not isinstance(lay, dict) or "rows" not in lay or "width" not in lay:
             raise SchemaError("layout must carry rows and width")
-        layout = (int(lay["rows"]), int(lay["width"]))
+        layout = (lay["rows"], lay["width"])
+        if any(type(n) is not int for n in layout):
+            raise SchemaError(f"layout rows and width must be integers, got {layout}")
 
     entries: dict[int, dict[int, list[TransitionEntry]]] = {}
     P = doc["P"]
@@ -296,6 +307,8 @@ def deserialize(text: str) -> TransitionTable:
         entries[s] = {}
         for a_key, rows in actions.items():
             a = _parse_index(a_key, n_actions, f"state {s}")
+            if not isinstance(rows, list):
+                raise SchemaError(f"state {s}, action {a}: outcomes must be an array")
             parsed = []
             for i, row in enumerate(rows):
                 if not isinstance(row, list) or len(row) != 4:
@@ -304,6 +317,11 @@ def deserialize(text: str) -> TransitionTable:
                         "[probability, next_state, reward, done]"
                     )
                 prob, nxt, rew, done = row
+                if type(prob) not in _JSON_NUMBER or type(rew) not in _JSON_NUMBER:
+                    raise SchemaError(
+                        f"state {s}, action {a}, entry {i}: probability and reward "
+                        "must be numbers"
+                    )
                 if not isinstance(nxt, int) or isinstance(nxt, bool):
                     raise SchemaError(
                         f"state {s}, action {a}, entry {i}: next state must be an integer"

@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 
 from promo_gym.cli import main
+from promo_gym.frozen_lake import make_frozen_lake
 from promo_gym.ingest import read_daily_series
-from promo_gym.tables import deserialize
+from promo_gym.tables import deserialize, serialize
 
 RX_HEADER = "store_id,product_id,date,eod_sales_qty,qty_uom"
 HOLIDAY_ROWS = (
@@ -274,6 +275,26 @@ class TestRenderCommand:
     def test_missing_file_exit_2(self, tmp_path, capsys):
         assert main(["render", "--trace", str(tmp_path / "nope.csv"),
                      "--table", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("mutate", [
+        lambda doc: doc.update(initial_distribution=[]),
+        lambda doc: doc["P"]["0"].update({"0": 7}),
+        lambda doc: doc["layout"].update(rows="x"),
+        lambda doc: doc["layout"].update(rows=None),
+        lambda doc: doc["P"]["0"]["0"][0].__setitem__(0, "x"),
+        lambda doc: doc["initial_distribution"].update({"0": "x"}),
+    ], ids=["initial-list", "int-entry-list", "rows-string", "rows-null",
+            "string-probability", "string-initial-probability"])
+    def test_wrong_shape_table_exit_2(self, tmp_path, capsys, mutate):
+        doc = json.loads(serialize(make_frozen_lake(slippery=False)))
+        mutate(doc)
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(doc))
+        trace = tmp_path / "trace.csv"
+        trace.write_text("step,state,action,reward,next_state,done\n"
+                         "1,0,1,0.0,4,false\n")
+        assert main(["render", "--trace", str(trace), "--table", str(table)]) == 2
+        assert "error" in capsys.readouterr().err
 
 
 class TestPipelineClosure:
