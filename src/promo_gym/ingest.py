@@ -1,16 +1,8 @@
 """Retail CSV ingestion: promotion plans, transactions, holiday calendars.
 
-Three input schemas (exact comma-separated headers, ISO-8601 dates,
-UTF-8, LF or CRLF):
-
-    promo plan   promo_code,promo_type,event_id,promo_start_date,
-                 promo_end_date,promo_target_amount,store_id,ad_id,
-                 product_id,offer_qty,offer_price,planogram_change,
-                 special_package,ad_location,coupon
-    online txns  product_id,date,eod_sales_qty,eod_return_qty,zip,city,
-                 state,geo_area_code
-    rx txns      store_id,product_id,date,eod_sales_qty,qty_uom
-    holidays     date,state_holiday,school_holiday
+Each CSV schema is stated once, as a frozen record dataclass below: its
+field names in order are the exact header, and each field's type picks how
+a cell is parsed and written (UTF-8, ISO-8601 dates, LF or CRLF on read).
 
 Parsing is strict by default: the first bad row aborts with its row
 number. Lenient mode skips bad rows and reports them as diagnostics.
@@ -21,25 +13,16 @@ store-product, zero-filling gaps inside each pair's observed span.
 from __future__ import annotations
 
 import csv
+import dataclasses
+import functools
+import math
 from dataclasses import dataclass
 from datetime import date, timedelta
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterator, TextIO
 
 from .errors import CalendarGap, HeaderMismatch, RowError
-
-PROMO_PLAN_HEADER = [
-    "promo_code", "promo_type", "event_id", "promo_start_date", "promo_end_date",
-    "promo_target_amount", "store_id", "ad_id", "product_id", "offer_qty",
-    "offer_price", "planogram_change", "special_package", "ad_location", "coupon",
-]
-ONLINE_HEADER = [
-    "product_id", "date", "eod_sales_qty", "eod_return_qty", "zip", "city",
-    "state", "geo_area_code",
-]
-RX_HEADER = ["store_id", "product_id", "date", "eod_sales_qty", "qty_uom"]
-HOLIDAY_HEADER = ["date", "state_holiday", "school_holiday"]
-ZIP_STORE_HEADER = ["zip", "store_id"]
 
 ONLINE_STORE_ID = "ONLINE"  # fallback store for online rows without a zip mapping
 
@@ -85,6 +68,19 @@ class RxTxnRecord:
     date: date
     eod_sales_qty: int
     qty_uom: str
+
+
+@dataclass(frozen=True)
+class HolidayRecord:
+    date: date
+    state_holiday: bool
+    school_holiday: bool
+
+
+@dataclass(frozen=True)
+class ZipStoreRecord:
+    zip: str
+    store_id: str
 
 
 @dataclass(frozen=True)
@@ -135,9 +131,39 @@ def _parse_nonneg_float(text: str, row: int, name: str) -> float:
         value = float(text.strip())
     except ValueError:
         raise RowError(f"{name}: {text!r} is not a number", row) from None
+    if not math.isfinite(value):
+        raise RowError(f"{name}: {text!r} is not a finite number", row)
     if value < 0:
         raise RowError(f"{name}: {value} is negative", row)
     return value
+
+
+def _parse_str(text: str, row: int, name: str) -> str:
+    return text.strip()
+
+
+# field annotation -> (cell parser, cell formatter). A formatter of None
+# leaves the value to csv.writer, which writes str(value): the digits of an
+# int, the repr of a float, ISO-8601 for a date, a string as it is.
+_CELLS = {
+    "str": (_parse_str, None),
+    "int": (_parse_nonneg_int, None),
+    "float": (_parse_nonneg_float, None),
+    "bool": (_parse_bool, {True: "true", False: "false"}.__getitem__),
+    "date": (_parse_date, None),
+}
+
+
+@functools.cache
+def _schema(cls) -> tuple[list[str], list[tuple], list[tuple], attrgetter]:
+    """A record class's header, (name, parser) per column, (index, formatter)
+    per column that has a formatter, and field getter, in field order."""
+    fields = dataclasses.fields(cls)
+    header = [f.name for f in fields]
+    cells = [_CELLS[f.type] for f in fields]
+    parsers = [(name, parse) for name, (parse, _) in zip(header, cells)]
+    formats = [(i, fmt) for i, (_, fmt) in enumerate(cells) if fmt is not None]
+    return header, parsers, formats, attrgetter(*header)
 
 
 # --- CSV plumbing ------------------------------------------------------------
@@ -178,16 +204,22 @@ def _open_rows(source: str | Path | TextIO, expected: list[str]):
     return rows()
 
 
-def _run_rows(rows, expected_len: int, build, strict: bool,
-              diagnostics: list[str] | None):
+def _read(source: str | Path | TextIO, cls, strict: bool = True,
+          diagnostics: list[str] | None = None, check=None) -> list:
+    """Parse a CSV of cls's schema into records; check(record, row_num) may
+    raise RowError for a rule that spans fields."""
+    header, parsers, _, _ = _schema(cls)
     records = []
-    for row_num, row in rows:
+    for row_num, row in _open_rows(source, header):
         try:
-            if len(row) != expected_len:
-                raise RowError(
-                    f"expected {expected_len} fields, got {len(row)}", row_num
-                )
-            records.append(build(row_num, row))
+            if len(row) != len(header):
+                raise RowError(f"expected {len(header)} fields, got {len(row)}",
+                               row_num)
+            record = cls(*[parse(text, row_num, name)
+                           for (name, parse), text in zip(parsers, row)])
+            if check is not None:
+                check(record, row_num)
+            records.append(record)
         except RowError as exc:
             if strict:
                 raise
@@ -196,105 +228,91 @@ def _run_rows(rows, expected_len: int, build, strict: bool,
     return records
 
 
+def _write_csv(target: str | Path | TextIO, header: list[str], rows) -> None:
+    if isinstance(target, (str, Path)):
+        with open(target, "w", newline="", encoding="utf-8") as handle:
+            _write_csv(handle, header, rows)
+        return
+    writer = csv.writer(target, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
+def _write(target: str | Path | TextIO, cls, records) -> None:
+    """Write records as a CSV of cls's schema."""
+    header, _, formats, get = _schema(cls)
+
+    def row(record) -> list:
+        values = list(get(record))
+        for i, fmt in formats:
+            values[i] = fmt(values[i])
+        return values
+
+    _write_csv(target, header, map(row, records))
+
+
+# --- row rules that span fields ----------------------------------------------
+
+
+def _check_promo_dates(rec: PromoPlanRecord, row_num: int) -> None:
+    if rec.promo_start_date > rec.promo_end_date:
+        raise RowError(
+            f"promo_start_date {rec.promo_start_date} after promo_end_date "
+            f"{rec.promo_end_date}", row_num,
+        )
+
+
+def _check_uom(rec: RxTxnRecord, row_num: int) -> None:
+    if not rec.qty_uom:
+        raise RowError("qty_uom: missing unit of measure", row_num)
+
+
+def _check_day_of_week(rec: DailySalesRecord, row_num: int) -> None:
+    if rec.day_of_week != rec.date.weekday():
+        raise RowError(
+            f"day_of_week {rec.day_of_week} does not match {rec.date.isoformat()}",
+            row_num,
+        )
+
+
+# transaction kind -> (record class, row rule)
+_TRANSACTIONS = {"online": (OnlineTxnRecord, None), "rx": (RxTxnRecord, _check_uom)}
+
+
+def _transaction_kind(kind: str):
+    try:
+        return _TRANSACTIONS[kind]
+    except KeyError:
+        raise ValueError(f"unknown transaction kind {kind!r}, "
+                         "expected 'online' or 'rx'") from None
+
+
 # --- public parsers ----------------------------------------------------------
 
 
 def parse_promo_plan(source: str | Path | TextIO, strict: bool = True,
                      diagnostics: list[str] | None = None) -> list[PromoPlanRecord]:
     """Parse the promotion-plan schema; validates start <= end per row."""
-
-    def build(row_num: int, row: list[str]) -> PromoPlanRecord:
-        rec = PromoPlanRecord(
-            promo_code=row[0].strip(),
-            promo_type=row[1].strip(),
-            event_id=row[2].strip(),
-            promo_start_date=_parse_date(row[3], row_num, "promo_start_date"),
-            promo_end_date=_parse_date(row[4], row_num, "promo_end_date"),
-            promo_target_amount=_parse_nonneg_float(row[5], row_num,
-                                                    "promo_target_amount"),
-            store_id=row[6].strip(),
-            ad_id=row[7].strip(),
-            product_id=row[8].strip(),
-            offer_qty=_parse_nonneg_int(row[9], row_num, "offer_qty"),
-            offer_price=_parse_nonneg_float(row[10], row_num, "offer_price"),
-            planogram_change=_parse_bool(row[11], row_num, "planogram_change"),
-            special_package=_parse_bool(row[12], row_num, "special_package"),
-            ad_location=_parse_bool(row[13], row_num, "ad_location"),
-            coupon=_parse_bool(row[14], row_num, "coupon"),
-        )
-        if rec.promo_start_date > rec.promo_end_date:
-            raise RowError(
-                f"promo_start_date {rec.promo_start_date} after promo_end_date "
-                f"{rec.promo_end_date}", row_num,
-            )
-        return rec
-
-    rows = _open_rows(source, PROMO_PLAN_HEADER)
-    return _run_rows(rows, len(PROMO_PLAN_HEADER), build, strict, diagnostics)
+    return _read(source, PromoPlanRecord, strict, diagnostics, _check_promo_dates)
 
 
 def parse_transactions(source: str | Path | TextIO, kind: str, strict: bool = True,
                        diagnostics: list[str] | None = None):
     """Parse transactions of the given kind: 'online' or 'rx'."""
-    if kind == "online":
-        def build(row_num: int, row: list[str]) -> OnlineTxnRecord:
-            return OnlineTxnRecord(
-                product_id=row[0].strip(),
-                date=_parse_date(row[1], row_num, "date"),
-                eod_sales_qty=_parse_nonneg_int(row[2], row_num, "eod_sales_qty"),
-                eod_return_qty=_parse_nonneg_int(row[3], row_num, "eod_return_qty"),
-                zip=row[4].strip(),
-                city=row[5].strip(),
-                state=row[6].strip(),
-                geo_area_code=row[7].strip(),
-            )
-
-        rows = _open_rows(source, ONLINE_HEADER)
-        return _run_rows(rows, len(ONLINE_HEADER), build, strict, diagnostics)
-
-    if kind == "rx":
-        def build(row_num: int, row: list[str]) -> RxTxnRecord:
-            if not row[4].strip():
-                raise RowError("qty_uom: missing unit of measure", row_num)
-            return RxTxnRecord(
-                store_id=row[0].strip(),
-                product_id=row[1].strip(),
-                date=_parse_date(row[2], row_num, "date"),
-                eod_sales_qty=_parse_nonneg_int(row[3], row_num, "eod_sales_qty"),
-                qty_uom=row[4].strip(),
-            )
-
-        rows = _open_rows(source, RX_HEADER)
-        return _run_rows(rows, len(RX_HEADER), build, strict, diagnostics)
-
-    raise ValueError(f"unknown transaction kind {kind!r}, expected 'online' or 'rx'")
+    cls, check = _transaction_kind(kind)
+    return _read(source, cls, strict, diagnostics, check)
 
 
 def parse_zip_store_map(source: str | Path | TextIO) -> dict[str, str]:
     """Parse the optional zip -> store mapping used to place online rows."""
-
-    def build(row_num: int, row: list[str]):
-        return row[0].strip(), row[1].strip()
-
-    rows = _open_rows(source, ZIP_STORE_HEADER)
-    return dict(_run_rows(rows, len(ZIP_STORE_HEADER), build, strict=True,
-                          diagnostics=None))
+    return {rec.zip: rec.store_id for rec in _read(source, ZipStoreRecord)}
 
 
 def parse_holidays(source: str | Path | TextIO, strict: bool = True,
                    diagnostics: list[str] | None = None) -> dict[date, tuple[bool, bool]]:
     """Parse the holiday calendar into date -> (state_holiday, school_holiday)."""
-
-    def build(row_num: int, row: list[str]):
-        return (
-            _parse_date(row[0], row_num, "date"),
-            _parse_bool(row[1], row_num, "state_holiday"),
-            _parse_bool(row[2], row_num, "school_holiday"),
-        )
-
-    rows = _open_rows(source, HOLIDAY_HEADER)
-    triples = _run_rows(rows, len(HOLIDAY_HEADER), build, strict, diagnostics)
-    return {day: (state, school) for day, state, school in triples}
+    return {rec.date: (rec.state_holiday, rec.school_holiday)
+            for rec in _read(source, HolidayRecord, strict, diagnostics)}
 
 
 # --- unification -------------------------------------------------------------
@@ -327,12 +345,18 @@ def unify(online: list[OnlineTxnRecord], rx: list[RxTxnRecord],
         lo, hi = spans.get((store, product), (day, day))
         spans[(store, product)] = (min(lo, day), max(hi, day))
 
+    promo_spans: dict[tuple[str, str], list[tuple[date, date]]] = {}
+    for p in promos:
+        promo_spans.setdefault((p.store_id, p.product_id), []).append(
+            (p.promo_start_date, p.promo_end_date))
+
     cal_lo = min(holidays) if holidays else None
     cal_hi = max(holidays) if holidays else None
 
     out: list[DailySalesRecord] = []
     for (store, product) in sorted(spans):
         lo, hi = spans[(store, product)]
+        pair_promos = promo_spans.get((store, product), ())
         day = lo
         while day <= hi:
             if cal_lo is None or not (cal_lo <= day <= cal_hi):
@@ -347,11 +371,7 @@ def unify(online: list[OnlineTxnRecord], rx: list[RxTxnRecord],
                 date=day,
                 day_of_week=day.weekday(),
                 units_sold=units.get((store, product, day), 0),
-                promo_active=any(
-                    p.store_id == store and p.product_id == product
-                    and p.promo_start_date <= day <= p.promo_end_date
-                    for p in promos
-                ),
+                promo_active=any(start <= day <= end for start, end in pair_promos),
                 state_holiday=state_hol,
                 school_holiday=school_hol,
             ))
@@ -359,89 +379,22 @@ def unify(online: list[OnlineTxnRecord], rx: list[RxTxnRecord],
     return out
 
 
-# --- CSV writers (round-trip partners of the parsers) -------------------------
-
-
-def _write_csv(target: str | Path | TextIO, header: list[str],
-               rows: Iterator[list[str]]) -> None:
-    if isinstance(target, (str, Path)):
-        with open(target, "w", newline="", encoding="utf-8") as handle:
-            _write_csv(handle, header, rows)
-        return
-    writer = csv.writer(target, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
-def _fmt_bool(value: bool) -> str:
-    return "true" if value else "false"
+# --- CSV writers, and the reader of the unified series -----------------------
 
 
 def write_promo_plan(target: str | Path | TextIO,
                      records: list[PromoPlanRecord]) -> None:
-    _write_csv(target, PROMO_PLAN_HEADER, (
-        [r.promo_code, r.promo_type, r.event_id, r.promo_start_date.isoformat(),
-         r.promo_end_date.isoformat(), repr(r.promo_target_amount), r.store_id,
-         r.ad_id, r.product_id, str(r.offer_qty), repr(r.offer_price),
-         _fmt_bool(r.planogram_change), _fmt_bool(r.special_package),
-         _fmt_bool(r.ad_location), _fmt_bool(r.coupon)]
-        for r in records
-    ))
+    _write(target, PromoPlanRecord, records)
 
 
 def write_transactions(target: str | Path | TextIO, records, kind: str) -> None:
-    if kind == "online":
-        _write_csv(target, ONLINE_HEADER, (
-            [r.product_id, r.date.isoformat(), str(r.eod_sales_qty),
-             str(r.eod_return_qty), r.zip, r.city, r.state, r.geo_area_code]
-            for r in records
-        ))
-    elif kind == "rx":
-        _write_csv(target, RX_HEADER, (
-            [r.store_id, r.product_id, r.date.isoformat(), str(r.eod_sales_qty),
-             r.qty_uom]
-            for r in records
-        ))
-    else:
-        raise ValueError(f"unknown transaction kind {kind!r}")
-
-
-# --- unified series document ---------------------------------------------------
-
-SERIES_HEADER = [
-    "store_id", "product_id", "date", "day_of_week", "units_sold",
-    "promo_active", "state_holiday", "school_holiday",
-]
+    _write(target, _transaction_kind(kind)[0], records)
 
 
 def write_daily_series(target: str | Path | TextIO,
                        series: list[DailySalesRecord]) -> None:
-    _write_csv(target, SERIES_HEADER, (
-        [r.store_id, r.product_id, r.date.isoformat(), str(r.day_of_week),
-         str(r.units_sold), _fmt_bool(r.promo_active), _fmt_bool(r.state_holiday),
-         _fmt_bool(r.school_holiday)]
-        for r in series
-    ))
+    _write(target, DailySalesRecord, series)
 
 
 def read_daily_series(source: str | Path | TextIO) -> list[DailySalesRecord]:
-    def build(row_num: int, row: list[str]) -> DailySalesRecord:
-        day = _parse_date(row[2], row_num, "date")
-        dow = _parse_nonneg_int(row[3], row_num, "day_of_week")
-        if dow != day.weekday():
-            raise RowError(
-                f"day_of_week {dow} does not match {day.isoformat()}", row_num
-            )
-        return DailySalesRecord(
-            store_id=row[0].strip(),
-            product_id=row[1].strip(),
-            date=day,
-            day_of_week=dow,
-            units_sold=_parse_nonneg_int(row[4], row_num, "units_sold"),
-            promo_active=_parse_bool(row[5], row_num, "promo_active"),
-            state_holiday=_parse_bool(row[6], row_num, "state_holiday"),
-            school_holiday=_parse_bool(row[7], row_num, "school_holiday"),
-        )
-
-    rows = _open_rows(source, SERIES_HEADER)
-    return _run_rows(rows, len(SERIES_HEADER), build, strict=True, diagnostics=None)
+    return _read(source, DailySalesRecord, check=_check_day_of_week)

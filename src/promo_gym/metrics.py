@@ -17,8 +17,12 @@ from typing import TextIO
 
 import numpy as np
 
-from .errors import EmptyInput
+from .errors import EmptyInput, RowError
+from .ingest import _write_csv
 from .learner import EpisodeTrace, TraceStep
+
+_TRACE_HEADER = ["step", "state", "action", "reward", "next_state", "done"]
+_DONE = {"true": True, "false": False}
 
 
 @dataclass
@@ -49,20 +53,20 @@ def compute_metrics(traces: list[EpisodeTrace]) -> MetricsSeries:
 
 def write_mean_cumulative_csv(target: str | Path | TextIO,
                               series: MetricsSeries) -> None:
-    _write_rows(target, ["step", "mean_cumulative_reward"],
-                ((str(step), repr(value)) for step, value in series.mean_cumulative))
+    _write_csv(target, ["step", "mean_cumulative_reward"],
+               ((str(step), repr(value)) for step, value in series.mean_cumulative))
 
 
 def write_episodic_csv(target: str | Path | TextIO, series: MetricsSeries) -> None:
-    _write_rows(target, ["episode", "total_reward"],
-                ((str(ep), repr(total)) for ep, total in series.episodic))
+    _write_csv(target, ["episode", "total_reward"],
+               ((str(ep), repr(total)) for ep, total in series.episodic))
 
 
 def write_trace_csv(target: str | Path | TextIO, trace: EpisodeTrace) -> None:
-    _write_rows(target, ["step", "state", "action", "reward", "next_state", "done"],
-                ((str(i + 1), str(s.state), str(s.action), repr(s.reward),
-                  str(s.next_state), "true" if s.done else "false")
-                 for i, s in enumerate(trace.steps)))
+    _write_csv(target, _TRACE_HEADER,
+               ((str(i + 1), str(s.state), str(s.action), repr(s.reward),
+                 str(s.next_state), "true" if s.done else "false")
+                for i, s in enumerate(trace.steps)))
 
 
 def read_trace_csv(source: str | Path | TextIO) -> EpisodeTrace:
@@ -71,29 +75,20 @@ def read_trace_csv(source: str | Path | TextIO) -> EpisodeTrace:
             return read_trace_csv(handle)
     reader = csv.reader(source)
     header = next(reader, None)
-    if header != ["step", "state", "action", "reward", "next_state", "done"]:
+    if header != _TRACE_HEADER:
         raise EmptyInput(f"not a trace file: header {header}")
-    steps = [
-        TraceStep(
-            state=int(row[1]),
-            action=int(row[2]),
-            reward=float(row[3]),
-            next_state=int(row[4]),
-            done=row[5] == "true",
-        )
-        for row in reader if row
-    ]
+    steps = []
+    for row_num, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        try:
+            _, state, action, reward, next_state, done = row
+            steps.append(TraceStep(state=int(state), action=int(action),
+                                   reward=float(reward), next_state=int(next_state),
+                                   done=_DONE[done]))
+        except (ValueError, KeyError):
+            raise RowError(f"not a trace row: {','.join(row)!r}", row_num) from None
     return EpisodeTrace.from_steps(steps)
-
-
-def _write_rows(target: str | Path | TextIO, header: list[str], rows) -> None:
-    if isinstance(target, (str, Path)):
-        with open(target, "w", newline="", encoding="utf-8") as handle:
-            _write_rows(handle, header, rows)
-        return
-    writer = csv.writer(target, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
 
 
 # --- self-contained SVG line chart ----------------------------------------------

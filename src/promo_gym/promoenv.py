@@ -280,18 +280,38 @@ def spec_from_json(text: str) -> PromoGridSpec:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
     try:
         spec = PromoGridSpec(
-            rows=int(doc["rows"]),
-            width=int(doc.get("width", GRID_WIDTH)),
-            avail={int(r): frozenset(cols) for r, cols in doc["avail"].items()},
-            goals=frozenset((r, c) for r, c in doc.get("goals", [])),
-            initial_states=frozenset((r, c) for r, c in doc["initial_states"]),
-            step_reward=float(doc.get("step_reward", DEFAULT_STEP_REWARD)),
-            forecast_fail_reward=float(
-                doc.get("forecast_fail_reward", DEFAULT_FORECAST_FAIL_REWARD)
+            rows=_json_int(doc["rows"], "rows"),
+            width=_json_int(doc.get("width", GRID_WIDTH), "width"),
+            avail={int(r): frozenset(_json_int(c, f"avail row {r}") for c in cols)
+                   for r, cols in doc["avail"].items()},
+            goals=_json_cells(doc.get("goals", []), "goals"),
+            initial_states=_json_cells(doc["initial_states"], "initial_states"),
+            step_reward=_json_number(doc.get("step_reward", DEFAULT_STEP_REWARD),
+                                     "step_reward"),
+            forecast_fail_reward=_json_number(
+                doc.get("forecast_fail_reward", DEFAULT_FORECAST_FAIL_REWARD),
+                "forecast_fail_reward",
             ),
-            goal_reward=float(doc.get("goal_reward", DEFAULT_GOAL_REWARD)),
+            goal_reward=_json_number(doc.get("goal_reward", DEFAULT_GOAL_REWARD),
+                                     "goal_reward"),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad grid spec document: {exc}") from exc
     spec.check()
     return spec
+
+
+def _json_int(value, what: str) -> int:
+    if type(value) is not int:  # bool, a subclass of int, is excluded
+        raise SchemaError(f"grid spec {what}: {value!r} is not an integer")
+    return value
+
+
+def _json_number(value, what: str) -> float:
+    if type(value) not in (int, float):
+        raise SchemaError(f"grid spec {what}: {value!r} is not a number")
+    return float(value)
+
+
+def _json_cells(pairs, what: str) -> frozenset[tuple[int, int]]:
+    return frozenset((_json_int(r, what), _json_int(c, what)) for r, c in pairs)

@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -66,6 +67,27 @@ class TestIngestCommand:
         assert main(["ingest", "--manifest", str(manifest)]) == 2
         assert "empty series" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column, value", [
+        ("promo_target_amount", "nan"),
+        ("promo_target_amount", "inf"),
+        ("offer_price", "NaN"),
+        ("offer_price", "Infinity"),
+    ])
+    def test_non_finite_amount_exit_2(self, tmp_path, fixtures_dir, capsys, column,
+                                      value):
+        for name in ("manifest.json", "promo_plan.csv", "online_transactions.csv",
+                     "rx_transactions.csv", "holidays.csv"):
+            shutil.copy(fixtures_dir / name, tmp_path / name)
+        plan = tmp_path / "promo_plan.csv"
+        lines = plan.read_text().splitlines()
+        cells = lines[3].split(",")  # PR-0003
+        cells[lines[0].split(",").index(column)] = value
+        lines[3] = ",".join(cells)
+        plan.write_text("\n".join(lines) + "\n")
+        assert main(["ingest", "--manifest", str(tmp_path / "manifest.json"),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert f"row 4: {column}" in capsys.readouterr().err
+
     def test_manifest_referencing_missing_file_exit_2(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path, {
             "inputs": {"rx_transactions": "nope.csv",
@@ -129,6 +151,35 @@ class TestBuildCommand:
         })
         assert main(["build", "--manifest", str(manifest)]) == 2
         assert "row 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("inline", [False, True], ids=["path", "inline"])
+    @pytest.mark.parametrize("mutate", [
+        lambda doc: doc["goals"][0].__setitem__(0, "2"),
+        lambda doc: doc["avail"]["0"].__setitem__(0, "0"),
+        lambda doc: doc["initial_states"][0].__setitem__(0, "3"),
+        lambda doc: doc.update(initial_states=[[1.5, 0]]),
+        lambda doc: doc.update(rows=5.7),
+        lambda doc: doc.update(width=10.0),
+        lambda doc: doc["goals"][0].__setitem__(0, True),
+        lambda doc: doc.update(step_reward="-1"),
+        lambda doc: doc.update(goal_reward=True),
+    ], ids=["string-goal-row", "string-avail-column", "string-initial-row",
+            "float-initial-row", "float-rows", "float-width", "bool-goal-row",
+            "string-reward", "bool-reward"])
+    def test_mistyped_grid_spec_exit_2(self, tmp_path, fixtures_dir, capsys, mutate,
+                                       inline):
+        doc = json.loads((fixtures_dir / "reference_grid_spec.json").read_text())
+        mutate(doc)
+        environment = {"kind": "promo", "grid_spec_path": "spec.json"}
+        if inline:
+            environment = {"kind": "promo", "grid_spec": doc}
+        else:
+            (tmp_path / "spec.json").write_text(json.dumps(doc))
+        manifest = write_manifest(tmp_path, {"environment": environment,
+                                             "out_dir": "out"})
+        assert main(["build", "--manifest", str(manifest)]) == 2
+        assert "grid spec" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "table.json").exists()
 
     def test_derived_build_requires_ingest_outputs(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path, {
@@ -295,6 +346,28 @@ class TestRenderCommand:
                          "1,0,1,0.0,4,false\n")
         assert main(["render", "--trace", str(trace), "--table", str(table)]) == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestMalformedTrace:
+    @pytest.mark.parametrize("command", ["render", "export-metrics"])
+    @pytest.mark.parametrize("row", [
+        "2,4,x,0.0,8,false",
+        "2,4,1,0.0",
+        "2,4,1,0.0,8,maybe",
+    ], ids=["non-integer", "short-row", "done-maybe"])
+    def test_bad_trace_row_exit_2(self, tmp_path, capsys, command, row):
+        table = tmp_path / "out" / "table.json"
+        (tmp_path / "out" / "traces").mkdir(parents=True)
+        table.write_text(serialize(make_frozen_lake(slippery=False)))
+        trace = tmp_path / "out" / "traces" / "episode_00000.csv"
+        trace.write_text("step,state,action,reward,next_state,done\n"
+                         f"1,0,1,0.0,4,false\n{row}\n")
+        manifest = write_manifest(tmp_path, {"environment": {"kind": "frozen-lake"},
+                                             "out_dir": "out"})
+        argv = {"render": ["render", "--trace", str(trace), "--table", str(table)],
+                "export-metrics": ["export-metrics", "--manifest", str(manifest)]}
+        assert main(argv[command]) == 2
+        assert "row 3: not a trace row" in capsys.readouterr().err
 
 
 class TestPipelineClosure:
