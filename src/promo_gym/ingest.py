@@ -22,7 +22,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Iterator, TextIO
 
-from .errors import CalendarGap, HeaderMismatch, RowError
+from .errors import CalendarGap, HeaderMismatch, ParseError, RowError
 
 ONLINE_STORE_ID = "ONLINE"  # fallback store for online rows without a zip mapping
 
@@ -169,6 +169,17 @@ def _schema(cls) -> tuple[list[str], list[tuple], list[tuple], attrgetter]:
 # --- CSV plumbing ------------------------------------------------------------
 
 
+def _csv_reader(handle: TextIO, name: str) -> Iterator[list[str]]:
+    """csv.reader over handle; bytes it cannot read raise ParseError."""
+    reader = csv.reader(handle)
+    try:
+        yield from reader
+    except csv.Error as exc:  # an oversized field, or NUL before Python 3.11
+        raise ParseError(f"{name}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{name}: not UTF-8 text: {exc}") from None
+
+
 def _open_rows(source: str | Path | TextIO, expected: list[str]):
     """Yield (row_number, row) pairs after checking the header row."""
     if isinstance(source, (str, Path)):
@@ -182,7 +193,7 @@ def _open_rows(source: str | Path | TextIO, expected: list[str]):
 
     def rows() -> Iterator[tuple[int, list[str]]]:
         try:
-            reader = csv.reader(handle)
+            reader = _csv_reader(handle, name)
             try:
                 header = next(reader)
             except StopIteration:

@@ -10,7 +10,6 @@ Two series summarize a training run:
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TextIO
@@ -18,7 +17,7 @@ from typing import TextIO
 import numpy as np
 
 from .errors import EmptyInput, RowError
-from .ingest import _write_csv
+from .ingest import _csv_reader, _write_csv
 from .learner import EpisodeTrace, TraceStep
 
 _TRACE_HEADER = ["step", "state", "action", "reward", "next_state", "done"]
@@ -73,7 +72,7 @@ def read_trace_csv(source: str | Path | TextIO) -> EpisodeTrace:
     if isinstance(source, (str, Path)):
         with open(source, newline="", encoding="utf-8") as handle:
             return read_trace_csv(handle)
-    reader = csv.reader(source)
+    reader = _csv_reader(source, getattr(source, "name", "<stream>"))
     header = next(reader, None)
     if header != _TRACE_HEADER:
         raise EmptyInput(f"not a trace file: header {header}")

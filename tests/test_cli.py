@@ -88,6 +88,24 @@ class TestIngestCommand:
                      "--out", str(tmp_path / "out")]) == 2
         assert f"row 4: {column}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell, message", [
+        (b"1" * 200_000, "line 3: field larger than field limit"),
+        (b"2015-05-\xff5", "holidays.csv: not UTF-8 text"),
+        # csv.reader rejects NUL before Python 3.11 ("line 3: ..."); later
+        # versions pass it on to the date parser ("row 3: date ...")
+        (b"2015-05-\x005", "3: "),
+    ], ids=["oversized-field", "non-utf8-byte", "nul-byte"])
+    def test_unreadable_csv_exit_2(self, tmp_path, fixtures_dir, capsys, cell,
+                                   message):
+        for name in ("manifest.json", "promo_plan.csv", "online_transactions.csv",
+                     "rx_transactions.csv", "holidays.csv"):
+            shutil.copy(fixtures_dir / name, tmp_path / name)
+        calendar = tmp_path / "holidays.csv"
+        calendar.write_bytes(calendar.read_bytes().replace(b"2015-05-25", cell, 1))
+        assert main(["ingest", "--manifest", str(tmp_path / "manifest.json"),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+
     def test_manifest_referencing_missing_file_exit_2(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path, {
             "inputs": {"rx_transactions": "nope.csv",
@@ -368,6 +386,25 @@ class TestMalformedTrace:
                 "export-metrics": ["export-metrics", "--manifest", str(manifest)]}
         assert main(argv[command]) == 2
         assert "row 3: not a trace row" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["render", "export-metrics"])
+    @pytest.mark.parametrize("row, message", [
+        (b"2,4,1," + b"0" * 200_000 + b",8,false", "line 3: field larger than field limit"),
+        (b"2,4,1,0.0,8,f\xffalse", "episode_00000.csv: not UTF-8 text"),
+    ], ids=["oversized-field", "non-utf8-byte"])
+    def test_unreadable_trace_exit_2(self, tmp_path, capsys, command, row, message):
+        table = tmp_path / "out" / "table.json"
+        (tmp_path / "out" / "traces").mkdir(parents=True)
+        table.write_text(serialize(make_frozen_lake(slippery=False)))
+        trace = tmp_path / "out" / "traces" / "episode_00000.csv"
+        trace.write_bytes(b"step,state,action,reward,next_state,done\n"
+                          b"1,0,1,0.0,4,false\n" + row + b"\n")
+        manifest = write_manifest(tmp_path, {"environment": {"kind": "frozen-lake"},
+                                             "out_dir": "out"})
+        argv = {"render": ["render", "--trace", str(trace), "--table", str(table)],
+                "export-metrics": ["export-metrics", "--manifest", str(manifest)]}
+        assert main(argv[command]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestPipelineClosure:
