@@ -14,7 +14,7 @@ from pathlib import Path
 from . import binning, ingest, metrics, promoenv, rendering, tables
 from .errors import EmptyInput, PromoGymError, SchemaError
 from .frozen_lake import make_frozen_lake
-from .learner import evaluate_greedy, qtable_from_json, qtable_to_json, train
+from .learner import QTable, evaluate_greedy, qtable_from_json, qtable_to_json, train
 from .manifest import RunManifest, load_manifest
 from .tables import TabularEnv
 
@@ -203,15 +203,17 @@ def cmd_train(manifest: RunManifest) -> int:
     """Train per the manifest's learner config; emit q-table and metrics."""
     table = _load_run_table(manifest)
     env = TabularEnv(table)
-    q, traces = train(env, manifest.learner)
+    q = QTable(env.observation_space.size, env.action_space.size)
+    traces = train(env, manifest.learner, q)
+    if manifest.emit.traces:
+        traces = list(traces)  # the trace files are written after training
+    series = metrics.compute_metrics(traces)
 
     out = _ensure_out(manifest)
     q_path = out / "q_table.json"
     _write_text(q_path, qtable_to_json(q))
     print(f"trained {manifest.learner.episodes} episodes "
           f"(seed {manifest.learner.seed}) -> {q_path}")
-
-    series = metrics.compute_metrics(traces)
     _write_metrics(out, series, manifest.emit.metrics, manifest.emit.plots)
     if manifest.emit.metrics:
         print(f"metrics -> {out / 'mean_cumulative.csv'}, {out / 'episodic.csv'}")
@@ -272,11 +274,11 @@ def cmd_export_metrics(manifest: RunManifest) -> int:
     if not trace_files:
         raise EmptyInput(f"no trace files under {trace_dir}; train with "
                          "emit.traces enabled first")
-    traces = [metrics.read_trace_csv(path) for path in trace_files]
-    series = metrics.compute_metrics(traces)
+    series = metrics.compute_metrics(metrics.read_trace_csv(path)
+                                     for path in trace_files)
     out = _ensure_out(manifest)
     _write_metrics(out, series, True, manifest.emit.plots)
-    print(f"metrics over {len(traces)} traces -> {out / 'mean_cumulative.csv'}, "
+    print(f"metrics over {len(trace_files)} traces -> {out / 'mean_cumulative.csv'}, "
           f"{out / 'episodic.csv'}")
     return 0
 

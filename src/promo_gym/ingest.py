@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from datetime import date, timedelta
 from operator import attrgetter
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterator, TextIO
 
 from .errors import CalendarGap, HeaderMismatch, ParseError, RowError
@@ -244,7 +245,12 @@ def _write_csv(target: str | Path | TextIO, header: list[str], rows) -> None:
         with open(target, "w", newline="", encoding="utf-8") as handle:
             _write_csv(handle, header, rows)
         return
-    writer = csv.writer(target, lineterminator="\n")
+    # csv quotes a cell holding any character of the line terminator, so
+    # each row is formatted ending in "\r\n", which quotes a cell holding
+    # \r, and written ending in "\n" alone.
+    write = target.write
+    writer = csv.writer(SimpleNamespace(write=lambda line: write(line[:-2] + "\n")),
+                        lineterminator="\r\n")
     writer.writerow(header)
     writer.writerows(rows)
 

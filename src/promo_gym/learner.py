@@ -6,14 +6,15 @@ The update is the classic
 
 with terminating transitions bootstrapping zero, so terminal-state rows
 stay pinned at 0. Exploration decays linearly, everything is driven by
-per-episode sub-streams of one seed, and training returns the complete
-set of episode traces for metrics.
+per-episode sub-streams of one seed, and training yields each episode's
+trace as it ends and keeps none, so metrics are computed in one pass.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
@@ -194,22 +195,20 @@ def run_episode(env: TabularEnv, q: QTable, config: LearnerConfig,
     return EpisodeTrace.from_steps(steps)
 
 
-def train(env: TabularEnv, config: LearnerConfig) -> tuple[QTable, list[EpisodeTrace]]:
-    """Run the full training loop; reproducible from config.seed alone.
+def train(env: TabularEnv, config: LearnerConfig, q: QTable) -> Iterator[EpisodeTrace]:
+    """Train q in place, yielding each episode's trace as it ends;
+    reproducible from config.seed alone.
 
     Episode i draws from the sub-stream (seed, 0, i), so its randomness
     is independent of every other episode's length.
     """
     if env.observation_space.size < 1 or env.action_space.size < 1:
         raise DimensionMismatch("environment spaces must be non-empty")
-    q = QTable(env.observation_space.size, env.action_space.size)
     root = RngStream(config.seed)
-    traces = []
     for episode in range(config.episodes):
         epsilon = epsilon_schedule(config, episode)
         rng = root.substream(TRAIN_STREAM, episode)
-        traces.append(run_episode(env, q, config, epsilon, rng, learning=True))
-    return q, traces
+        yield run_episode(env, q, config, epsilon, rng, learning=True)
 
 
 def evaluate_greedy(env: TabularEnv, q: QTable, episodes: int, max_steps: int,

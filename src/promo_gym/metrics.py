@@ -10,6 +10,7 @@ Two series summarize a training run:
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TextIO
@@ -30,20 +31,27 @@ class MetricsSeries:
     episodic: list[tuple[int, float]]         # (episode index from 0, total)
 
 
-def compute_metrics(traces: list[EpisodeTrace]) -> MetricsSeries:
-    """Carry-forward mean cumulative curve plus per-episode totals."""
-    if not traces:
-        raise EmptyInput("no traces to compute metrics over")
-    horizon = max(len(t.cumulative) for t in traces)
-    grid = np.empty((len(traces), horizon))
-    for i, trace in enumerate(traces):
+def compute_metrics(traces: Iterable[EpisodeTrace]) -> MetricsSeries:
+    """Carry-forward mean cumulative curve plus per-episode totals, in one
+    pass that keeps no trace. Each episode's carry-forward row is added to
+    per-step sums in episode order, as mean(axis=0) adds the rows of an
+    episodes x steps grid, so the means are bit-identical to the grid's."""
+    sums = np.zeros(1)  # per-step sums of the carry-forward rows so far
+    totals = []
+    for trace in traces:
         n = len(trace.cumulative)
-        grid[i, :n] = trace.cumulative
-        grid[i, n:] = trace.cumulative[-1]
-    means = grid.mean(axis=0)
+        if n > len(sums):  # new steps start from the last sum: the totals so far
+            sums = np.pad(sums, (0, n - len(sums)), mode="edge")
+        sums[:n] += trace.cumulative
+        sums[n:] += trace.total_reward
+        totals.append(trace.total_reward)
+    if not totals:
+        raise EmptyInput("no traces to compute metrics over")
+    if len(sums) == 1:  # the grid mean sums a lone column pairwise, not in order
+        sums = np.array([np.sum(totals)])
     return MetricsSeries(
-        mean_cumulative=[(t + 1, float(means[t])) for t in range(horizon)],
-        episodic=[(i, trace.total_reward) for i, trace in enumerate(traces)],
+        mean_cumulative=list(enumerate((sums / len(totals)).tolist(), start=1)),
+        episodic=list(enumerate(totals)),
     )
 
 
@@ -72,7 +80,8 @@ def read_trace_csv(source: str | Path | TextIO) -> EpisodeTrace:
     if isinstance(source, (str, Path)):
         with open(source, newline="", encoding="utf-8") as handle:
             return read_trace_csv(handle)
-    reader = _csv_reader(source, getattr(source, "name", "<stream>"))
+    name = getattr(source, "name", "<stream>")
+    reader = _csv_reader(source, name)
     header = next(reader, None)
     if header != _TRACE_HEADER:
         raise EmptyInput(f"not a trace file: header {header}")
@@ -87,6 +96,8 @@ def read_trace_csv(source: str | Path | TextIO) -> EpisodeTrace:
                                    done=_DONE[done]))
         except (ValueError, KeyError):
             raise RowError(f"not a trace row: {','.join(row)!r}", row_num) from None
+    if not steps:  # an episode takes at least one step
+        raise EmptyInput(f"{name}: trace has no steps")
     return EpisodeTrace.from_steps(steps)
 
 

@@ -138,7 +138,8 @@ def test_criterion_4_oracle_equivalence():
 
     env = TabularEnv(lake)
     config = LearnerConfig(episodes=20_000, seed=11)  # defaults otherwise
-    q, _ = train(env, config)
+    q = QTable(env.observation_space.size, env.action_space.size)
+    list(train(env, config, q))
     learned = greedy_policy(q)
 
     ranked = np.sort(sol.Q, axis=1)
@@ -165,7 +166,8 @@ def test_criterion_5_forecast_dominance():
     env = TabularEnv(table)
     config = LearnerConfig(episodes=5000, max_steps_per_episode=60,
                            epsilon_decay_episodes=500, seed=20150608)
-    q, _ = train(env, config)
+    q = QTable(env.observation_space.size, env.action_space.size)
+    list(train(env, config, q))
     learned = greedy_policy(q)
     for g in goal_states:
         assert learned[g] == 3

@@ -106,6 +106,19 @@ class TestIngestCommand:
                      "--out", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
 
+    def test_carriage_return_in_cell_survives_build(self, tmp_path, fixtures_dir):
+        for name in ("manifest.json", "promo_plan.csv", "online_transactions.csv",
+                     "rx_transactions.csv", "holidays.csv"):
+            shutil.copy(fixtures_dir / name, tmp_path / name)
+        rx = tmp_path / "rx_transactions.csv"
+        rx.write_bytes(rx.read_bytes().replace(b"\nS01,", b'\n"S\r01",', 1))
+        argv = ["--manifest", str(tmp_path / "manifest.json"),
+                "--out", str(tmp_path / "out")]
+        assert main(["ingest", *argv]) == 0
+        series = read_daily_series(tmp_path / "out" / "daily_series.csv")
+        assert "S\r01" in {r.store_id for r in series}
+        assert main(["build", *argv]) == 0
+
     def test_manifest_referencing_missing_file_exit_2(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path, {
             "inputs": {"rx_transactions": "nope.csv",
@@ -405,6 +418,20 @@ class TestMalformedTrace:
                 "export-metrics": ["export-metrics", "--manifest", str(manifest)]}
         assert main(argv[command]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["render", "export-metrics"])
+    def test_header_only_trace_exit_2(self, tmp_path, capsys, command):
+        table = tmp_path / "out" / "table.json"
+        (tmp_path / "out" / "traces").mkdir(parents=True)
+        table.write_text(serialize(make_frozen_lake(slippery=False)))
+        trace = tmp_path / "out" / "traces" / "episode_00000.csv"
+        trace.write_text("step,state,action,reward,next_state,done\n")
+        manifest = write_manifest(tmp_path, {"environment": {"kind": "frozen-lake"},
+                                             "out_dir": "out"})
+        argv = {"render": ["render", "--trace", str(trace), "--table", str(table)],
+                "export-metrics": ["export-metrics", "--manifest", str(manifest)]}
+        assert main(argv[command]) == 2
+        assert "episode_00000.csv: trace has no steps" in capsys.readouterr().err
 
 
 class TestPipelineClosure:

@@ -21,14 +21,12 @@ from promo_gym.ingest import (
 )
 
 # Cells are stripped on read, so generated text is stripped too. Commas,
-# quotes and line feeds are drawn often on purpose. A carriage return inside a
-# cell is left out: csv.writer with a "\n" line terminator does not quote it,
-# and csv.reader then rejects the unquoted field. NUL is left out too: before
-# Python 3.11 csv.reader rejects any line that contains it.
+# quotes, line feeds and carriage returns are drawn often on purpose. NUL is
+# left out: before Python 3.11 csv.reader rejects any line that contains it.
 _text = st.text(
     alphabet=st.one_of(
-        st.sampled_from(string.ascii_letters + string.digits + ",\"' \n;-"),
-        st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\x00"),
+        st.sampled_from(string.ascii_letters + string.digits + ",\"' \n\r;-"),
+        st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
     ),
     max_size=12,
 ).map(str.strip)

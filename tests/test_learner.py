@@ -213,7 +213,8 @@ class TestRunEpisode:
 class TestTrain:
     def test_single_episode(self):
         env = TabularEnv(one_step_table())
-        q, traces = train(env, LearnerConfig(episodes=1, seed=4))
+        q = QTable(2, 1)
+        traces = list(train(env, LearnerConfig(episodes=1, seed=4), q))
         assert len(traces) == 1
         assert q.values[0, 0] != 0.0
 
@@ -221,30 +222,34 @@ class TestTrain:
         env1 = TabularEnv(reference_table)
         env2 = TabularEnv(reference_table)
         config = LearnerConfig(episodes=200, max_steps_per_episode=40, seed=77)
-        q1, traces1 = train(env1, config)
-        q2, traces2 = train(env2, config)
+        q1, q2 = QTable(50, 4), QTable(50, 4)
+        traces1 = list(train(env1, config, q1))
+        traces2 = list(train(env2, config, q2))
         assert q1.values.tobytes() == q2.values.tobytes()
         assert traces1 == traces2
 
     def test_different_seeds_differ(self, reference_table):
         env = TabularEnv(reference_table)
-        q1, _ = train(env, LearnerConfig(episodes=100, max_steps_per_episode=40,
-                                         seed=1))
-        q2, _ = train(env, LearnerConfig(episodes=100, max_steps_per_episode=40,
-                                         seed=2))
+        q1, q2 = QTable(50, 4), QTable(50, 4)
+        list(train(env, LearnerConfig(episodes=100, max_steps_per_episode=40,
+                                      seed=1), q1))
+        list(train(env, LearnerConfig(episodes=100, max_steps_per_episode=40,
+                                      seed=2), q2))
         assert q1.values.tobytes() != q2.values.tobytes()
 
     def test_learns_small_deterministic_mdp_exactly(self):
         # two-state chain: Q*(0, 0) = 1 reached after repeated visits
         env = TabularEnv(one_step_table())
-        q, _ = train(env, LearnerConfig(episodes=300, seed=3))
+        q = QTable(2, 1)
+        list(train(env, LearnerConfig(episodes=300, seed=3), q))
         assert q.values[0, 0] == pytest.approx(1.0, abs=1e-10)
         # terminal row stays pinned at zero
         assert q.values[1].tolist() == [0.0]
 
     def test_terminal_rows_stay_zero_on_frozen_lake(self, lake_table):
         env = TabularEnv(lake_table)
-        q, _ = train(env, LearnerConfig(episodes=500, seed=21))
+        q = QTable(16, 4)
+        list(train(env, LearnerConfig(episodes=500, seed=21), q))
         for s in lake_table.terminal_states():
             assert q.values[s].tolist() == [0.0, 0.0, 0.0, 0.0]
 

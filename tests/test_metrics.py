@@ -1,6 +1,11 @@
+import gc
 import io
+import weakref
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from promo_gym.errors import EmptyInput
 from promo_gym.learner import EpisodeTrace, TraceStep
@@ -55,6 +60,72 @@ class TestComputeMetrics:
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             compute_metrics([])
+
+
+def grid_metrics(traces):
+    """The episodes x steps grid formula that compute_metrics streams."""
+    horizon = max(len(t.cumulative) for t in traces)
+    grid = np.empty((len(traces), horizon))
+    for i, trace in enumerate(traces):
+        n = len(trace.cumulative)
+        grid[i, :n] = trace.cumulative
+        grid[i, n:] = trace.cumulative[-1]
+    means = grid.mean(axis=0)
+    return ([(t + 1, float(means[t])) for t in range(horizon)],
+            [(i, trace.total_reward) for i, trace in enumerate(traces)])
+
+
+def hexed(series):
+    return [(i, float.hex(v)) for i, v in series]
+
+
+_reward = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                    st.floats(min_value=-1e300, max_value=1e300),
+                    st.floats(min_value=-10.0, max_value=10.0))
+# a common step cap per draw, so runs of one-step episodes come up often
+_episodes = st.integers(min_value=1, max_value=12).flatmap(
+    lambda cap: st.lists(st.lists(_reward, min_size=1, max_size=cap), min_size=1,
+                         max_size=40))
+
+
+class TestStreamingMatchesGrid:
+    @settings(deadline=None, max_examples=300)
+    @given(_episodes, st.booleans())
+    @example([[0.1 * k, 3.0] for k in range(30)] + [[1.0, 2.0, 3.0, 4.0, 5.0]], False)
+    @example([[1e16]] + [[1.0]] * 9, False)  # one step: the grid sums pairwise
+    @example([[-0.0, 0.0, -0.0]], False)
+    @example([[1e300, -1e300, 1.0]], False)
+    def test_bit_identical(self, episodes, longest_last):
+        if longest_last:
+            episodes = sorted(episodes, key=len)
+        traces = [EpisodeTrace.from_steps(trace_from_rewards(r).steps)
+                  for r in episodes]
+        series = compute_metrics(iter(traces))
+        mean_cumulative, episodic = grid_metrics(traces)
+        assert hexed(series.mean_cumulative) == hexed(mean_cumulative)
+        assert hexed(series.episodic) == hexed(episodic)
+
+
+class TestKeepsNoTrace:
+    def test_each_trace_dies_once_the_next_is_pulled(self):
+        refs = []
+
+        def traces():
+            for k in range(30):
+                trace = trace_from_rewards([1.0] * (k % 7 + 1))
+                refs.append(weakref.ref(trace))
+                yield trace
+                del trace
+                # resumed for trace k + 1: only trace k may still be held
+                gc.collect()
+                assert [ref() is None for ref in refs[:-1]] == [True] * k
+
+        series = compute_metrics(traces())
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        expected = compute_metrics([trace_from_rewards([1.0] * (k % 7 + 1))
+                                    for k in range(30)])
+        assert series == expected
 
 
 class TestCsvEmission:
