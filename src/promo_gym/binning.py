@@ -143,15 +143,20 @@ def model_from_json(text: str) -> BinningModel:
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
     try:
-        boundaries = tuple(int(b) for b in doc["boundaries"])
         model = BinningModel(
-            boundaries=boundaries,
-            fitted_on=int(doc["fitted_on"]),
-            degenerate=bool(doc.get("degenerate", False)),
-            k=int(doc.get("k", N_BINS)),
+            boundaries=tuple(doc["boundaries"]),
+            fitted_on=doc["fitted_on"],
+            degenerate=doc.get("degenerate", False),
+            k=doc.get("k", N_BINS),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad binning model document: {exc}") from exc
+    # type(), not isinstance: bool is a subclass of int
+    if any(type(n) is not int for n in (model.k, model.fitted_on, *model.boundaries)):
+        raise SchemaError("bad binning model document: k, boundaries and fitted_on "
+                          "must be integers")
+    if type(model.degenerate) is not bool:
+        raise SchemaError("bad binning model document: degenerate must be a boolean")
     if len(model.boundaries) != N_BINS - 1 or model.k != N_BINS:
         raise SchemaError("binning model must carry 4 boundaries for 5 bins")
     if any(b >= c for b, c in zip(model.boundaries, model.boundaries[1:])):

@@ -1,8 +1,8 @@
 """Retail CSV ingestion: promotion plans, transactions, holiday calendars.
 
-Each CSV schema is stated once, as a frozen record dataclass below: its
-field names in order are the exact header, and each field's type picks how
-a cell is parsed and written (UTF-8, ISO-8601 dates, LF or CRLF on read).
+Each CSV schema is stated once, as a record NamedTuple below: its field
+names in order are the exact header, and each field's type picks how a
+cell is parsed and written (UTF-8, ISO-8601 dates, LF or CRLF on read).
 
 Parsing is strict by default: the first bad row aborts with its row
 number. Lenient mode skips bad rows and reports them as diagnostics.
@@ -13,15 +13,12 @@ store-product, zero-filling gaps inside each pair's observed span.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import functools
 import math
-from dataclasses import dataclass
 from datetime import date, timedelta
-from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterator, TextIO
+from typing import Iterator, NamedTuple, TextIO, get_type_hints
 
 from .errors import CalendarGap, HeaderMismatch, ParseError, RowError
 
@@ -31,8 +28,7 @@ _TRUE = {"y", "1", "true"}
 _FALSE = {"n", "0", "false"}
 
 
-@dataclass(frozen=True)
-class PromoPlanRecord:
+class PromoPlanRecord(NamedTuple):
     promo_code: str
     promo_type: str
     event_id: str
@@ -50,8 +46,7 @@ class PromoPlanRecord:
     coupon: bool
 
 
-@dataclass(frozen=True)
-class OnlineTxnRecord:
+class OnlineTxnRecord(NamedTuple):
     product_id: str
     date: date
     eod_sales_qty: int
@@ -62,8 +57,7 @@ class OnlineTxnRecord:
     geo_area_code: str
 
 
-@dataclass(frozen=True)
-class RxTxnRecord:
+class RxTxnRecord(NamedTuple):
     store_id: str
     product_id: str
     date: date
@@ -71,21 +65,18 @@ class RxTxnRecord:
     qty_uom: str
 
 
-@dataclass(frozen=True)
-class HolidayRecord:
+class HolidayRecord(NamedTuple):
     date: date
     state_holiday: bool
     school_holiday: bool
 
 
-@dataclass(frozen=True)
-class ZipStoreRecord:
+class ZipStoreRecord(NamedTuple):
     zip: str
     store_id: str
 
 
-@dataclass(frozen=True)
-class DailySalesRecord:
+class DailySalesRecord(NamedTuple):
     """One store-product-day of the unified series. day_of_week: 0 = Monday."""
 
     store_id: str
@@ -143,28 +134,28 @@ def _parse_str(text: str, row: int, name: str) -> str:
     return text.strip()
 
 
-# field annotation -> (cell parser, cell formatter). A formatter of None
-# leaves the value to csv.writer, which writes str(value): the digits of an
-# int, the repr of a float, ISO-8601 for a date, a string as it is.
+# field type -> (cell parser, cell formatter). A formatter of None leaves
+# the value to csv.writer, which writes str(value): the digits of an int,
+# the repr of a float, ISO-8601 for a date, a string as it is.
 _CELLS = {
-    "str": (_parse_str, None),
-    "int": (_parse_nonneg_int, None),
-    "float": (_parse_nonneg_float, None),
-    "bool": (_parse_bool, {True: "true", False: "false"}.__getitem__),
-    "date": (_parse_date, None),
+    str: (_parse_str, None),
+    int: (_parse_nonneg_int, None),
+    float: (_parse_nonneg_float, None),
+    bool: (_parse_bool, {True: "true", False: "false"}.__getitem__),
+    date: (_parse_date, None),
 }
 
 
 @functools.cache
-def _schema(cls) -> tuple[list[str], list[tuple], list[tuple], attrgetter]:
-    """A record class's header, (name, parser) per column, (index, formatter)
-    per column that has a formatter, and field getter, in field order."""
-    fields = dataclasses.fields(cls)
-    header = [f.name for f in fields]
-    cells = [_CELLS[f.type] for f in fields]
+def _schema(cls) -> tuple[list[str], list[tuple], list[tuple]]:
+    """A record class's header, (name, parser) per column, and (index,
+    formatter) per column that has a formatter, in field order."""
+    header = list(cls._fields)
+    types = get_type_hints(cls)  # the annotations are strings here
+    cells = [_CELLS[types[name]] for name in header]
     parsers = [(name, parse) for name, (parse, _) in zip(header, cells)]
     formats = [(i, fmt) for i, (_, fmt) in enumerate(cells) if fmt is not None]
-    return header, parsers, formats, attrgetter(*header)
+    return header, parsers, formats
 
 
 # --- CSV plumbing ------------------------------------------------------------
@@ -206,7 +197,7 @@ def _open_rows(source: str | Path | TextIO, expected: list[str]):
                     f"expected {','.join(expected)!r}"
                 )
             for i, row in enumerate(reader, start=2):
-                if not row or all(not cell.strip() for cell in row):
+                if not "".join(row).strip():  # no cells, or only blank ones
                     continue
                 yield i, row
         finally:
@@ -220,7 +211,7 @@ def _read(source: str | Path | TextIO, cls, strict: bool = True,
           diagnostics: list[str] | None = None, check=None) -> list:
     """Parse a CSV of cls's schema into records; check(record, row_num) may
     raise RowError for a rule that spans fields."""
-    header, parsers, _, _ = _schema(cls)
+    header, parsers, _ = _schema(cls)
     records = []
     for row_num, row in _open_rows(source, header):
         try:
@@ -257,10 +248,10 @@ def _write_csv(target: str | Path | TextIO, header: list[str], rows) -> None:
 
 def _write(target: str | Path | TextIO, cls, records) -> None:
     """Write records as a CSV of cls's schema."""
-    header, _, formats, get = _schema(cls)
+    header, _, formats = _schema(cls)
 
     def row(record) -> list:
-        values = list(get(record))
+        values = list(record)
         for i, fmt in formats:
             values[i] = fmt(values[i])
         return values
@@ -362,10 +353,14 @@ def unify(online: list[OnlineTxnRecord], rx: list[RxTxnRecord],
         lo, hi = spans.get((store, product), (day, day))
         spans[(store, product)] = (min(lo, day), max(hi, day))
 
-    promo_spans: dict[tuple[str, str], list[tuple[date, date]]] = {}
+    # each pair's promo days, clipped to the span its series covers
+    promo_days: dict[tuple[str, str], set[date]] = {}
     for p in promos:
-        promo_spans.setdefault((p.store_id, p.product_id), []).append(
-            (p.promo_start_date, p.promo_end_date))
+        if (pair := (p.store_id, p.product_id)) in spans:
+            lo, hi = spans[pair]
+            first, last = max(p.promo_start_date, lo), min(p.promo_end_date, hi)
+            promo_days.setdefault(pair, set()).update(
+                first + timedelta(days=i) for i in range((last - first).days + 1))
 
     cal_lo = min(holidays) if holidays else None
     cal_hi = max(holidays) if holidays else None
@@ -373,7 +368,7 @@ def unify(online: list[OnlineTxnRecord], rx: list[RxTxnRecord],
     out: list[DailySalesRecord] = []
     for (store, product) in sorted(spans):
         lo, hi = spans[(store, product)]
-        pair_promos = promo_spans.get((store, product), ())
+        pair_promo_days = promo_days.get((store, product), ())
         day = lo
         while day <= hi:
             if cal_lo is None or not (cal_lo <= day <= cal_hi):
@@ -383,15 +378,8 @@ def unify(online: list[OnlineTxnRecord], rx: list[RxTxnRecord],
                 )
             state_hol, school_hol = holidays.get(day, (False, False))
             out.append(DailySalesRecord(
-                store_id=store,
-                product_id=product,
-                date=day,
-                day_of_week=day.weekday(),
-                units_sold=units.get((store, product, day), 0),
-                promo_active=any(start <= day <= end for start, end in pair_promos),
-                state_holiday=state_hol,
-                school_holiday=school_hol,
-            ))
+                store, product, day, day.weekday(), units.get((store, product, day), 0),
+                day in pair_promo_days, state_hol, school_hol))
             day += timedelta(days=1)
     return out
 

@@ -270,12 +270,15 @@ def qtable_from_json(text: str) -> QTable:
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
     try:
-        q = QTable(
-            n_states=int(doc["n_states"]),
-            n_actions=int(doc["n_actions"]),
-            values=np.asarray(doc["values"], dtype=float),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        n_states, n_actions, values = doc["n_states"], doc["n_actions"], doc["values"]
+        # type(), not isinstance: bool is a subclass of int
+        if type(n_states) is not int or type(n_actions) is not int:
+            raise SchemaError("bad q-table document: n_states and n_actions must be "
+                              "integers")
+        if not all(type(v) in (int, float) for row in values for v in row):
+            raise SchemaError("bad q-table document: values must be numbers")
+        q = QTable(n_states, n_actions, np.asarray(values, dtype=float))
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad q-table document: {exc}") from exc
     if not np.isfinite(q.values).all():
         raise SchemaError("bad q-table document: values must be finite")

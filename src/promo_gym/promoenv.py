@@ -244,15 +244,14 @@ def _goal_row(promo: PromoPlanRecord, promo_day: date,
 def _trailing_median_bin(series: list[DailySalesRecord], bins: BinningModel,
                          monday: date) -> int:
     """Lower median of total units on the four Mondays before the week."""
-    totals = []
-    for k in range(1, TRAILING_WEEKS + 1):
-        day = monday - timedelta(weeks=k)
-        observed = [rec.units_sold for rec in series if rec.date == day]
-        if observed:
-            totals.append(sum(observed))
-    if not totals:
+    mondays = {monday - timedelta(weeks=k) for k in range(1, TRAILING_WEEKS + 1)}
+    by_day: dict[date, int] = {}
+    for rec in series:
+        if rec.date in mondays:
+            by_day[rec.date] = by_day.get(rec.date, 0) + rec.units_sold
+    if not by_day:
         return assign_bin(bins, 0)
-    totals.sort()
+    totals = sorted(by_day.values())
     return assign_bin(bins, totals[(len(totals) - 1) // 2])
 
 

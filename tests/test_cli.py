@@ -9,6 +9,7 @@ import pytest
 from promo_gym.cli import main
 from promo_gym.frozen_lake import make_frozen_lake
 from promo_gym.ingest import read_daily_series
+from promo_gym.learner import QTable, qtable_to_json
 from promo_gym.tables import deserialize, serialize
 
 RX_HEADER = "store_id,product_id,date,eod_sales_qty,qty_uom"
@@ -341,6 +342,46 @@ class TestEvalCommand:
     def test_missing_q_table_exit_2(self, built_run, capsys):
         assert main(["eval", "--manifest", str(built_run)]) == 2
         assert "q-table" in capsys.readouterr().err
+
+
+class TestMistypedArtifact:
+    @pytest.mark.parametrize("artifact, mutate", [
+        ("q_table.json", lambda doc: doc.update(n_states=doc["n_states"] + 0.5)),
+        ("q_table.json", lambda doc: doc.update(n_actions=float(doc["n_actions"]))),
+        ("q_table.json", lambda doc: doc["values"][0].__setitem__(0, True)),
+        ("q_table.json", lambda doc: doc["values"][0].__setitem__(0, "0.5")),
+        ("q_table.json", lambda doc: doc["values"][0].__setitem__(0, 10**400)),
+        ("binning_model.json",
+         lambda doc: doc["boundaries"].__setitem__(0, str(doc["boundaries"][0]))),
+        ("binning_model.json",
+         lambda doc: doc["boundaries"].__setitem__(0, doc["boundaries"][0] + 0.9)),
+        ("binning_model.json", lambda doc: doc.update(fitted_on=True)),
+        ("binning_model.json", lambda doc: doc.update(degenerate="no")),
+        ("binning_model.json", lambda doc: doc.update(k=5.0)),
+    ], ids=["float-n-states", "float-n-actions", "bool-value", "string-value",
+            "huge-int-value", "string-boundary", "float-boundary", "bool-fitted-on",
+            "string-degenerate", "float-k"])
+    def test_mistyped_artifact_exit_2(self, tmp_path, fixtures_dir, capsys, artifact,
+                                      mutate):
+        """eval reads q_table.json and build reads binning_model.json; each
+        takes JSON integers, numbers and booleans as they are, or exits 2."""
+        manifest = str(fixtures_dir / "manifest.json")
+        out = tmp_path / "out"
+        assert main(["ingest", "--manifest", manifest, "--out", str(out)]) == 0
+        command = ["build", "--manifest", manifest, "--out", str(out)]
+        if artifact == "q_table.json":
+            assert main(command) == 0
+            table = deserialize((out / "table.json").read_text())
+            (out / artifact).write_text(
+                qtable_to_json(QTable(table.n_states, table.n_actions)))
+            command = ["eval", "--manifest", manifest, "--out", str(out),
+                       "--episodes", "5"]
+        doc = json.loads((out / artifact).read_text())
+        mutate(doc)
+        (out / artifact).write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(command) == 2
+        assert "document" in capsys.readouterr().err
 
 
 class TestRenderCommand:

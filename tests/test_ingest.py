@@ -5,9 +5,12 @@ import pytest
 
 from promo_gym.errors import CalendarGap, HeaderMismatch, RowError
 from promo_gym.ingest import (
+    DailySalesRecord,
+    HolidayRecord,
     OnlineTxnRecord,
     PromoPlanRecord,
     RxTxnRecord,
+    ZipStoreRecord,
     parse_holidays,
     parse_promo_plan,
     parse_transactions,
@@ -35,6 +38,16 @@ def weekday_oracle(d: date) -> int:
 
 def holidays_for(lo: date, hi: date) -> dict[date, tuple[bool, bool]]:
     return {lo: (False, False), hi: (False, False)}
+
+
+@pytest.mark.parametrize("cls", [PromoPlanRecord, OnlineTxnRecord, RxTxnRecord,
+                                 HolidayRecord, ZipStoreRecord, DailySalesRecord])
+def test_records_are_immutable(cls):
+    names = list(cls.__annotations__)
+    record = cls(*[None] * len(names))
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
 
 
 class TestPromoPlanParsing:

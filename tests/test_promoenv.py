@@ -1,10 +1,12 @@
 import dataclasses
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from promo_gym.binning import fit_bins
+from promo_gym.binning import assign_bin, fit_bins
 from promo_gym.errors import NoPromoInHorizon, SpecError
 from promo_gym.ingest import DailySalesRecord, PromoPlanRecord
 from promo_gym.promoenv import (
@@ -295,6 +297,29 @@ class TestDeriveSpec:
                                date(2015, 6, 12), store="S99")]
         with pytest.raises(NoPromoInHorizon):
             derive_spec_from_data(series, bins, promos, date(2015, 6, 8))
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(["P1", "P2", "P3"]),
+        st.one_of(st.integers(-40, 6), st.integers(-6, 0).map(lambda w: 7 * w)),
+        st.integers(0, 120),
+    ), max_size=12))
+    def test_start_row_matches_scan_of_trailing_mondays(self, rows):
+        bins = fit_bins(list(range(100)))
+        monday = date(2015, 6, 8)
+        series = [daily("S01", product, monday + timedelta(days=offset), units)
+                  for product, offset, units in rows]
+        # reference: one scan of the series per trailing Monday
+        totals = []
+        for k in range(1, 5):
+            day = monday - timedelta(weeks=k)
+            observed = [rec.units_sold for rec in series if rec.date == day]
+            if observed:
+                totals.append(sum(observed))
+        totals.sort()
+        row = assign_bin(bins, totals[(len(totals) - 1) // 2] if totals else 0)
+        spec = derive_spec_from_data(series, bins, [], monday, allow_empty_promos=True)
+        assert spec.initial_states == frozenset({(row, 0)})
 
 
 class TestSpecDocument:
