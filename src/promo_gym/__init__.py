@@ -1,7 +1,7 @@
 """promo-gym: tabular Q-learning toolkit and retail promo-forecasting simulator."""
 
 from .binning import BinningModel, WeeklyProfile, assign_bin, fit_bins, weekly_profile
-from .envcore import DiscreteSpace, RngStream
+from .envcore import RngStream
 from .frozen_lake import make_frozen_lake
 from .ingest import (
     DailySalesRecord,

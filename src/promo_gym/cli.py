@@ -203,7 +203,7 @@ def cmd_train(manifest: RunManifest) -> int:
     """Train per the manifest's learner config; emit q-table and metrics."""
     table = _load_run_table(manifest)
     env = TabularEnv(table)
-    q = QTable(env.observation_space.size, env.action_space.size)
+    q = QTable(table.n_states, table.n_actions)
     traces = train(env, manifest.learner, q)
     if manifest.emit.traces:
         traces = list(traces)  # the trace files are written after training

@@ -1,5 +1,5 @@
-"""Building blocks shared by every environment: discrete spaces, seeded
-RNG streams and the text grid.
+"""Building blocks shared by every environment: seeded RNG streams and
+the text grid.
 
 Every environment in the toolkit is episodic and discrete: states and
 actions are integer indices, one step samples a single transition, and
@@ -9,25 +9,9 @@ can be replayed bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NoLayout
-
-
-@dataclass(frozen=True)
-class DiscreteSpace:
-    """A finite index set {0, ..., size-1} of states or actions."""
-
-    size: int
-
-    def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ValueError(f"DiscreteSpace size must be >= 1, got {self.size}")
-
-    def contains(self, index: int) -> bool:
-        return 0 <= index < self.size
 
 
 class RngStream:

@@ -16,7 +16,7 @@ neighbors with probability 1/3 each.
 
 from __future__ import annotations
 
-from .tables import TransitionEntry, TransitionTable
+from .tables import TransitionTable
 
 MAP_4X4 = ("SFFF", "FHFH", "FFFH", "HFFG")
 
@@ -40,34 +40,22 @@ def make_frozen_lake(slippery: bool = False) -> TransitionTable:
         nc = min(max(c + dc, 0), width - 1)
         return nr * width + nc
 
-    def entry(state: int, action: int, probability: float) -> TransitionEntry:
+    def outcome(state: int, action: int, probability: float) -> tuple:
         nxt = move(state, action)
         tile = cell(nxt)
-        return TransitionEntry(
-            probability=probability,
-            next_state=nxt,
-            reward=1.0 if tile == "G" else 0.0,
-            done=tile in "GH",
-        )
+        return (probability, nxt, 1.0 if tile == "G" else 0.0, tile in "GH")
 
-    entries: dict[int, dict[int, list[TransitionEntry]]] = {}
-    for s in range(n_states):
-        entries[s] = {}
-        for a in range(n_actions):
-            if cell(s) in "GH":
-                entries[s][a] = [TransitionEntry(1.0, s, 0.0, True)]
-            elif slippery:
-                entries[s][a] = [
-                    entry(s, slip, 1.0 / 3.0)
-                    for slip in ((a - 1) % 4, a, (a + 1) % 4)
-                ]
-            else:
-                entries[s][a] = [entry(s, a, 1.0)]
+    def outcomes(s: int, a: int) -> list[tuple]:
+        if cell(s) in "GH":
+            return [(1.0, s, 0.0, True)]
+        if slippery:
+            return [outcome(s, slip, 1.0 / 3.0) for slip in ((a - 1) % 4, a, (a + 1) % 4)]
+        return [outcome(s, a, 1.0)]
 
-    return TransitionTable(
-        n_states=n_states,
-        n_actions=n_actions,
-        entries=entries,
+    return TransitionTable.compile(
+        n_states,
+        n_actions,
+        [[outcomes(s, a) for a in range(n_actions)] for s in range(n_states)],
         initial_distribution={0: 1.0},
         layout=(rows, width),
     )

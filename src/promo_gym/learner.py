@@ -49,9 +49,6 @@ class QTable:
                     f"({self.n_states}, {self.n_actions})"
                 )
 
-    def copy(self) -> "QTable":
-        return QTable(self.n_states, self.n_actions, self.values.copy())
-
 
 # LearnerConfig fields by the type they must hold; a bool is neither
 _REAL_FIELDS = ("alpha", "gamma", "epsilon_start", "epsilon_end")
@@ -202,7 +199,7 @@ def train(env: TabularEnv, config: LearnerConfig, q: QTable) -> Iterator[Episode
     Episode i draws from the sub-stream (seed, 0, i), so its randomness
     is independent of every other episode's length.
     """
-    if env.observation_space.size < 1 or env.action_space.size < 1:
+    if env.table.n_states < 1 or env.table.n_actions < 1:
         raise DimensionMismatch("environment spaces must be non-empty")
     root = RngStream(config.seed)
     for episode in range(config.episodes):
@@ -218,10 +215,11 @@ def evaluate_greedy(env: TabularEnv, q: QTable, episodes: int, max_steps: int,
     Success means the episode terminated with a positive final reward.
     episodes = 0 yields an empty report.
     """
-    if q.n_states != env.observation_space.size or q.n_actions != env.action_space.size:
+    table = env.table
+    if (q.n_states, q.n_actions) != (table.n_states, table.n_actions):
         raise DimensionMismatch(
             f"q-table is {q.n_states}x{q.n_actions}, environment is "
-            f"{env.observation_space.size}x{env.action_space.size}"
+            f"{table.n_states}x{table.n_actions}"
         )
     if episodes == 0:
         return {"episodes": 0}

@@ -25,7 +25,7 @@ from datetime import date, timedelta
 from .binning import BinningModel, assign_bin
 from .errors import NoPromoInHorizon, ParseError, SchemaError, SpecError
 from .ingest import DailySalesRecord, PromoPlanRecord
-from .tables import TransitionEntry, TransitionTable
+from .tables import TransitionTable
 
 GRID_WIDTH = 10
 N_DAY_COLUMNS = 7
@@ -99,39 +99,31 @@ def build_promo_mdp(spec: PromoGridSpec) -> TransitionTable:
     commit rather than wander off.
     """
     spec.check()
-    n_states = spec.rows * spec.width
-    entries: dict[int, dict[int, list[TransitionEntry]]] = {}
-
+    outcomes = []
     for r in range(spec.rows):
         avail = sorted(spec.avail[r])
         fan = 1.0 / len(avail)
         for c in range(spec.width):
             s = spec.state_index(r, c)
-            realign = [
-                TransitionEntry(fan, spec.state_index(r, c2), spec.step_reward, False)
-                for c2 in avail
-            ]
             lower_row = r - 1 if r > 0 else r
             raise_row = r + 1 if r < spec.rows - 1 else r
             if (r, c) in spec.goals:
-                forecast = [TransitionEntry(1.0, s, spec.goal_reward, True)]
+                forecast = (1.0, s, spec.goal_reward, True)
             else:
-                forecast = [TransitionEntry(1.0, s, spec.forecast_fail_reward, False)]
-            entries[s] = {
-                REALIGN: realign,
-                LOWER: [TransitionEntry(1.0, spec.state_index(lower_row, c),
-                                        spec.step_reward, False)],
-                INCREASE: [TransitionEntry(1.0, spec.state_index(raise_row, c),
-                                           spec.step_reward, False)],
-                FORECAST: forecast,
-            }
+                forecast = (1.0, s, spec.forecast_fail_reward, False)
+            outcomes.append([  # indexed by action: REALIGN, LOWER, INCREASE, FORECAST
+                [(fan, spec.state_index(r, c2), spec.step_reward, False) for c2 in avail],
+                [(1.0, spec.state_index(lower_row, c), spec.step_reward, False)],
+                [(1.0, spec.state_index(raise_row, c), spec.step_reward, False)],
+                [forecast],
+            ])
 
     starts = sorted(spec.state_index(r, c) for r, c in spec.initial_states)
     weight = 1.0 / len(starts)
-    return TransitionTable(
-        n_states=n_states,
-        n_actions=N_ACTIONS,
-        entries=entries,
+    return TransitionTable.compile(
+        spec.rows * spec.width,
+        N_ACTIONS,
+        outcomes,
         initial_distribution={s: weight for s in starts},
         layout=(spec.rows, spec.width),
     )

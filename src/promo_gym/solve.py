@@ -46,23 +46,12 @@ def value_iteration(table: TransitionTable, gamma: float,
 
     n_states, n_actions = table.n_states, table.n_actions
 
-    # Flatten the ragged entry lists once; each (s, a) owns a contiguous
-    # run of rows so one reduceat per sweep computes every backup.
-    probs, nexts, rewards, live = [], [], [], []
-    offsets = []
-    for s in range(n_states):
-        for a in range(n_actions):
-            offsets.append(len(probs))
-            for e in table.entries[s][a]:
-                probs.append(e.probability)
-                nexts.append(e.next_state)
-                rewards.append(e.reward)
-                live.append(0.0 if e.done else 1.0)
-    p = np.asarray(probs)
-    nxt = np.asarray(nexts, dtype=np.intp)
-    base = p * np.asarray(rewards)
-    weight = p * np.asarray(live)
-    cuts = np.asarray(offsets, dtype=np.intp)
+    # each (s, a) owns a contiguous run of rows, so one reduceat per sweep
+    # computes every backup
+    p, nxt = table.probability, table.next_state
+    base = p * table.reward
+    weight = p * ~table.done
+    cuts = table.starts[:-1]
 
     V = np.zeros(n_states)
     Q = np.zeros((n_states, n_actions))

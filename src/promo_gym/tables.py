@@ -1,35 +1,35 @@
 """Tabular MDPs as explicit transition tables.
 
-A table maps every (state, action) pair to an ordered list of
-(probability, next_state, reward, done) outcomes. The same structure
-drives sampling environments, the value-iteration oracle, and the
-on-disk JSON document format.
+A table keeps every outcome in four flat columns (probability,
+next_state, reward, done). The outcomes of the pair (state s, action a)
+are the rows starts[k]:starts[k + 1], where k = s * n_actions + a, in
+listed order. The value-iteration oracle and validation read the
+columns; sampling environments read a per-pair list view built from
+them once; the on-disk JSON document nests the same rows by state and
+action.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from operator import attrgetter, itemgetter
 from typing import Callable
 
-from .envcore import DiscreteSpace, RngStream, format_grid
-from .errors import (
-    InvalidAction,
-    InvalidState,
-    NoLayout,
-    ParseError,
-    SchemaError,
-    SteppedAfterDone,
-)
+import numpy as np
+
+from .envcore import RngStream
+from .errors import InvalidAction, InvalidState, ParseError, SchemaError, SteppedAfterDone
 
 PROB_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class TransitionEntry:
-    """One possible outcome of taking an action in a state."""
+    """One possible outcome of taking an action in a state, as the
+    sampling view lists it."""
 
     probability: float
     next_state: int
@@ -37,48 +37,66 @@ class TransitionEntry:
     done: bool
 
 
-@dataclass
+@dataclass(eq=False)
 class TransitionTable:
     """Complete tabular MDP: dynamics, initial distribution, optional geometry.
 
-    entries[s][a] is the ordered outcome list for state s, action a.
-    layout, when present, is (rows, width) grid geometry with
-    state = row * width + col.
+    Build one with compile(); its columns are read-only. Tables compare
+    by identity; two tables hold the same MDP when serialize() gives
+    both the same text. layout, when present, is (rows, width) grid
+    geometry with state = row * width + col.
     """
 
     n_states: int
     n_actions: int
-    entries: dict[int, dict[int, list[TransitionEntry]]]
+    starts: np.ndarray          # (n_states * n_actions + 1,) row offsets
+    probability: np.ndarray     # float, one per outcome row
+    next_state: np.ndarray      # intp
+    reward: np.ndarray          # float
+    done: np.ndarray            # bool
     initial_distribution: dict[int, float]
     layout: tuple[int, int] | None = None
 
-    def terminal_states(self) -> set[int]:
-        """States whose every outcome ends the episode; their Q rows stay 0."""
-        out = set()
-        for s in range(self.n_states):
-            acts = self.entries.get(s, {})
-            if acts and all(
-                entries and all(e.done for e in entries) for entries in acts.values()
-            ):
-                out.add(s)
-        return out
+    @classmethod
+    def compile(cls, n_states: int, n_actions: int, outcomes,
+                initial_distribution: dict[int, float],
+                layout: tuple[int, int] | None = None) -> "TransitionTable":
+        """Compile outcomes[s][a], the ordered (probability, next_state,
+        reward, done) rows of every pair, into the column form."""
+        pairs = [outcomes[s][a] for s in range(n_states) for a in range(n_actions)]
+        rows = [row for pair in pairs for row in pair]
+        p, nxt, r, done = zip(*rows) if rows else ((),) * 4
+        columns = (np.array([0, *accumulate(map(len, pairs))], dtype=np.intp),
+                   np.array(p, dtype=float), np.array(nxt, dtype=np.intp),
+                   np.array(r, dtype=float), np.array(done, dtype=bool))
+        for column in columns:
+            column.flags.writeable = False
+        return cls(n_states, n_actions, *columns,
+                   {s: float(q) for s, q in initial_distribution.items()}, layout)
+
+    @cached_property
+    def outcomes(self) -> list[list[list[TransitionEntry]]]:
+        """outcomes[s][a] is the pair's outcome list, built from the columns
+        on first use; sampling reads it."""
+        entries = list(map(TransitionEntry, self.probability.tolist(),
+                           self.next_state.tolist(), self.reward.tolist(),
+                           self.done.tolist()))
+        starts = self.starts.tolist()
+        pairs = [entries[i:j] for i, j in zip(starts, starts[1:])]
+        n = self.n_actions
+        return [pairs[k:k + n] for k in range(0, len(pairs), n)]
 
     def goal_states(self) -> set[int]:
         """States entered by a terminating transition with positive reward."""
-        out = set()
-        for acts in self.entries.values():
-            for entries in acts.values():
-                for e in entries:
-                    if e.done and e.reward > 0:
-                        out.add(e.next_state)
-        return out
+        return set(self.next_state[self.done & (self.reward > 0)].tolist())
 
 
 def validate(table: TransitionTable) -> list[str]:
     """Check every table invariant; returns one message per violation.
 
     A valid table yields an empty list. Violations carry (state, action)
-    coordinates so a bad builder can be pinpointed.
+    coordinates, and (state, action, entry) ones for a single outcome, so
+    a bad builder can be pinpointed.
     """
     violations: list[str] = []
     if table.n_states < 1:
@@ -86,42 +104,33 @@ def validate(table: TransitionTable) -> list[str]:
     if table.n_actions < 1:
         violations.append(f"n_actions must be >= 1, got {table.n_actions}")
 
-    for s in range(table.n_states):
-        if s not in table.entries:
-            violations.append(f"state {s}: missing from entries")
+    starts, prob, nxt = table.starts, table.probability, table.next_state
+    counts = np.diff(starts)
+    pair = np.repeat(np.arange(len(counts)), counts)  # each row's pair k
+    bad_p = ~((prob > 0.0) & (prob <= 1.0))
+    bad_next = (nxt < 0) | (nxt >= table.n_states)
+    bad_reward = ~np.isfinite(table.reward)
+    mass = np.bincount(pair, weights=prob, minlength=len(counts))
+    bad_mass = (counts > 0) & (np.abs(mass - 1.0) > PROB_SUM_TOL)
+    bad_rows = np.bincount(pair[bad_p | bad_next | bad_reward], minlength=len(counts))
+    for k in np.flatnonzero((counts == 0) | bad_mass | (bad_rows > 0)).tolist():
+        s, a = divmod(k, table.n_actions)
+        if counts[k] == 0:
+            violations.append(f"state {s}, action {a}: empty outcome list")
             continue
-        for a in range(table.n_actions):
-            if a not in table.entries[s]:
-                violations.append(f"state {s}, action {a}: missing")
-                continue
-            entries = table.entries[s][a]
-            if not entries:
-                violations.append(f"state {s}, action {a}: empty outcome list")
-                continue
-            mass = 0.0
-            for i, e in enumerate(entries):
-                if not (0.0 < e.probability <= 1.0):
-                    violations.append(
-                        f"state {s}, action {a}, entry {i}: probability "
-                        f"{e.probability} not in (0, 1]"
-                    )
-                if not (0 <= e.next_state < table.n_states):
-                    violations.append(
-                        f"state {s}, action {a}, entry {i}: next state "
-                        f"{e.next_state} out of range"
-                    )
-                if not math.isfinite(e.reward):
-                    violations.append(
-                        f"state {s}, action {a}, entry {i}: reward not finite"
-                    )
-                mass += e.probability
-            if abs(mass - 1.0) > PROB_SUM_TOL:
-                violations.append(
-                    f"state {s}, action {a}: probability mass {mass!r} != 1"
-                )
-    for s in table.entries:
-        if not (0 <= s < table.n_states):
-            violations.append(f"state {s}: index out of range")
+        first = int(starts[k])
+        for row in range(first, int(starts[k + 1])):
+            where = f"state {s}, action {a}, entry {row - first}"
+            if bad_p[row]:
+                violations.append(f"{where}: probability {float(prob[row])} not in (0, 1]")
+            if bad_next[row]:
+                violations.append(f"{where}: next state {int(nxt[row])} out of range")
+            if bad_reward[row]:
+                violations.append(f"{where}: reward not finite")
+        if bad_mass[k]:
+            violations.append(
+                f"state {s}, action {a}: probability mass {float(mass[k])!r} != 1"
+            )
 
     init_mass = 0.0
     for s, p in table.initial_distribution.items():
@@ -153,7 +162,7 @@ def step_sample(table: TransitionTable, state: int, action: int,
         raise InvalidState(f"state {state} out of range 0..{table.n_states - 1}")
     if not (0 <= action < table.n_actions):
         raise InvalidAction(f"action {action} out of range 0..{table.n_actions - 1}")
-    return _inverse_cdf(table.entries[state][action], _ENTRY_PROBABILITY, rng)
+    return _inverse_cdf(table.outcomes[state][action], _ENTRY_PROBABILITY, rng)
 
 
 def sample_initial_state(table: TransitionTable, rng: RngStream) -> int:
@@ -187,24 +196,18 @@ class TabularEnv:
 
     The Gym contract: reset() starts an episode and returns the initial
     state; step() samples exactly one transition and returns its table
-    entry, and is an error once the episode has finished; render() is a
-    pure function of the current state. Holds the episode cursor
-    (current state, step count, done flag); a single instance is
+    entry, and is an error once the episode has finished. Holds only the
+    episode cursor (current state, done flag); a single instance is
     single-threaded, distinct instances share nothing mutable.
     """
 
     def __init__(self, table: TransitionTable):
         self.table = table
-        self.action_space = DiscreteSpace(table.n_actions)
-        self.observation_space = DiscreteSpace(table.n_states)
-        self._goals = frozenset(table.goal_states())
         self.current_state: int | None = None
-        self.steps_taken = 0
         self.episode_done = False
 
     def reset(self, rng: RngStream) -> int:
         self.current_state = sample_initial_state(self.table, rng)
-        self.steps_taken = 0
         self.episode_done = False
         return self.current_state
 
@@ -215,15 +218,8 @@ class TabularEnv:
             raise SteppedAfterDone("step() on a finished episode; call reset()")
         outcome = step_sample(self.table, self.current_state, action, rng)
         self.current_state = outcome.next_state
-        self.steps_taken += 1
         self.episode_done = outcome.done
         return outcome
-
-    def render(self) -> str:
-        if self.table.layout is None:
-            raise NoLayout("table registered without renderable geometry")
-        rows, width = self.table.layout
-        return format_grid(rows, width, self.current_state, self._goals)
 
 
 # --- document format -------------------------------------------------------
@@ -244,16 +240,13 @@ def serialize(table: TransitionTable) -> str:
     }
     if table.layout is not None:
         doc["layout"] = {"rows": table.layout[0], "width": table.layout[1]}
-    doc["P"] = {
-        str(s): {
-            str(a): [
-                [e.probability, e.next_state, e.reward, e.done]
-                for e in table.entries[s][a]
-            ]
-            for a in sorted(table.entries[s])
-        }
-        for s in sorted(table.entries)
-    }
+    rows = list(zip(table.probability.tolist(), table.next_state.tolist(),
+                    table.reward.tolist(), table.done.tolist()))
+    starts = table.starts.tolist()
+    pairs = [rows[i:j] for i, j in zip(starts, starts[1:])]
+    n = table.n_actions
+    doc["P"] = {str(s): {str(a): pairs[s * n + a] for a in range(n)}
+                for s in range(table.n_states)}
     return json.dumps(doc, indent=1)
 
 
@@ -285,7 +278,7 @@ def deserialize(text: str) -> TransitionTable:
         if type(p) not in _JSON_NUMBER:
             raise SchemaError(f"initial_distribution: probability {p!r} for state {s} "
                               "is not a number")
-        initial[s] = float(p)
+        initial[s] = p
 
     layout = None
     if "layout" in doc and doc["layout"] is not None:
@@ -296,7 +289,7 @@ def deserialize(text: str) -> TransitionTable:
         if any(type(n) is not int for n in layout):
             raise SchemaError(f"layout rows and width must be integers, got {layout}")
 
-    entries: dict[int, dict[int, list[TransitionEntry]]] = {}
+    outcomes: dict[int, dict[int, list]] = {}
     P = doc["P"]
     if not isinstance(P, dict):
         raise SchemaError("P must be an object keyed by state index")
@@ -304,12 +297,11 @@ def deserialize(text: str) -> TransitionTable:
         s = _parse_index(s_key, n_states, "P")
         if not isinstance(actions, dict):
             raise SchemaError(f"state {s}: actions must be an object")
-        entries[s] = {}
+        outcomes[s] = {}
         for a_key, rows in actions.items():
             a = _parse_index(a_key, n_actions, f"state {s}")
             if not isinstance(rows, list):
                 raise SchemaError(f"state {s}, action {a}: outcomes must be an array")
-            parsed = []
             for i, row in enumerate(rows):
                 if not isinstance(row, list) or len(row) != 4:
                     raise SchemaError(
@@ -330,22 +322,18 @@ def deserialize(text: str) -> TransitionTable:
                     raise SchemaError(
                         f"state {s}, action {a}, entry {i}: done must be a boolean"
                     )
-                parsed.append(TransitionEntry(float(prob), nxt, float(rew), done))
-            entries[s][a] = parsed
+            outcomes[s][a] = rows
     for s in range(n_states):
-        if s not in entries:
+        if s not in outcomes:
             raise SchemaError(f"state {s}: missing from P")
         for a in range(n_actions):
-            if a not in entries[s]:
+            if a not in outcomes[s]:
                 raise SchemaError(f"state {s}: action {a} missing")
 
-    return TransitionTable(
-        n_states=n_states,
-        n_actions=n_actions,
-        entries=entries,
-        initial_distribution=initial,
-        layout=layout,
-    )
+    try:
+        return TransitionTable.compile(n_states, n_actions, outcomes, initial, layout)
+    except OverflowError as exc:  # an integer beyond float or index range
+        raise SchemaError(f"number out of range: {exc}") from None
 
 
 def _parse_index(key: str, bound: int, where: str) -> int:

@@ -94,7 +94,7 @@ def test_criterion_2_probability_normalization(fixtures_dir, tmp_path):
         assert validate(table) == []
         for s in range(table.n_states):
             for a in range(table.n_actions):
-                mass = sum(e.probability for e in table.entries[s][a])
+                mass = sum(e.probability for e in table.outcomes[s][a])
                 assert abs(mass - 1.0) <= 1e-9
     _pass(2, "validation empty and per-(s,a) mass within 1e-9 on all tables",
           started, budget=1.0)
@@ -138,7 +138,7 @@ def test_criterion_4_oracle_equivalence():
 
     env = TabularEnv(lake)
     config = LearnerConfig(episodes=20_000, seed=11)  # defaults otherwise
-    q = QTable(env.observation_space.size, env.action_space.size)
+    q = QTable(lake.n_states, lake.n_actions)
     list(train(env, config, q))
     learned = greedy_policy(q)
 
@@ -166,7 +166,7 @@ def test_criterion_5_forecast_dominance():
     env = TabularEnv(table)
     config = LearnerConfig(episodes=5000, max_steps_per_episode=60,
                            epsilon_decay_episodes=500, seed=20150608)
-    q = QTable(env.observation_space.size, env.action_space.size)
+    q = QTable(table.n_states, table.n_actions)
     list(train(env, config, q))
     learned = greedy_policy(q)
     for g in goal_states:
@@ -228,7 +228,8 @@ def test_criterion_8_round_trips(fixtures_dir):
     started = time.monotonic()
     # transition table
     table = build_promo_mdp(reference_grid_spec())
-    assert deserialize(serialize(table)) == table
+    text = serialize(table)
+    assert serialize(deserialize(text)) == text
 
     # q-table
     rng = np.random.default_rng(3)

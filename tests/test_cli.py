@@ -141,7 +141,7 @@ class TestBuildCommand:
         })
         assert main(["build", "--manifest", str(manifest)]) == 0
         table = deserialize((tmp_path / "out" / "table.json").read_text())
-        entries = table.entries[35]
+        entries = table.outcomes[35]
         assert [(e.next_state, e.reward) for e in entries[1]] == [(25, -1.0)]
         assert [(e.next_state, e.reward) for e in entries[2]] == [(45, -1.0)]
         assert [(e.next_state, e.reward) for e in entries[3]] == [(35, -10.0)]
@@ -418,6 +418,34 @@ class TestRenderCommand:
                          "1,0,1,0.0,4,false\n")
         assert main(["render", "--trace", str(trace), "--table", str(table)]) == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestNumberBeyondRange:
+    @pytest.mark.parametrize("command", ["build", "render"])
+    @pytest.mark.parametrize("mutate", [
+        lambda doc: doc["P"]["0"]["0"][0].__setitem__(0, 10**400),
+        lambda doc: doc["P"]["0"]["0"][0].__setitem__(2, 10**400),
+        lambda doc: doc["initial_distribution"].update({"0": 10**400}),
+        lambda doc: doc["P"]["0"]["0"][0].__setitem__(1, 2**64),
+    ], ids=["probability", "reward", "initial-probability", "next-state"])
+    def test_integer_beyond_range_exit_2(self, tmp_path, capsys, command, mutate):
+        doc = json.loads(serialize(make_frozen_lake(slippery=False)))
+        mutate(doc)
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(doc))
+        if command == "build":
+            manifest = write_manifest(tmp_path, {
+                "environment": {"kind": "table", "table_path": "table.json"},
+                "out_dir": "out",
+            })
+            argv = ["build", "--manifest", str(manifest)]
+        else:
+            trace = tmp_path / "trace.csv"
+            trace.write_text("step,state,action,reward,next_state,done\n"
+                             "1,0,1,0.0,4,false\n")
+            argv = ["render", "--trace", str(trace), "--table", str(table)]
+        assert main(argv) == 2
+        assert "out of range" in capsys.readouterr().err
 
 
 class TestMalformedTrace:

@@ -5,28 +5,16 @@ import pytest
 
 from promo_gym.envcore import RngStream
 from promo_gym.solve import value_iteration
-from promo_gym.tables import TabularEnv, TransitionEntry, TransitionTable
+from promo_gym.tables import TabularEnv, TransitionTable
 
 
 def identity_table() -> TransitionTable:
-    return TransitionTable(
-        n_states=1,
-        n_actions=1,
-        entries={0: {0: [TransitionEntry(1.0, 0, 0.0, True)]}},
-        initial_distribution={0: 1.0},
-    )
+    return TransitionTable.compile(1, 1, [[[(1.0, 0, 0.0, True)]]], {0: 1.0})
 
 
 def two_state_chain() -> TransitionTable:
-    return TransitionTable(
-        n_states=2,
-        n_actions=1,
-        entries={
-            0: {0: [TransitionEntry(1.0, 1, 1.0, True)]},
-            1: {0: [TransitionEntry(1.0, 1, 0.0, True)]},
-        },
-        initial_distribution={0: 1.0},
-    )
+    return TransitionTable.compile(
+        2, 1, [[[(1.0, 1, 1.0, True)]], [[(1.0, 1, 0.0, True)]]], {0: 1.0})
 
 
 def bfs_shortest_path_steps(table: TransitionTable, start: int, goal: int) -> int:
@@ -38,7 +26,7 @@ def bfs_shortest_path_steps(table: TransitionTable, start: int, goal: int) -> in
         if state == goal:
             return dist
         for action in range(table.n_actions):
-            [entry] = table.entries[state][action]
+            [entry] = table.outcomes[state][action]
             if entry.next_state not in seen:
                 seen.add(entry.next_state)
                 frontier.append((entry.next_state, dist + 1))
@@ -89,17 +77,8 @@ class TestValueIteration:
 
     def test_policy_breaks_ties_to_lowest_index(self):
         # two equivalent actions: argmax must pick action 0
-        table = TransitionTable(
-            n_states=1,
-            n_actions=2,
-            entries={
-                0: {
-                    0: [TransitionEntry(1.0, 0, 1.0, True)],
-                    1: [TransitionEntry(1.0, 0, 1.0, True)],
-                }
-            },
-            initial_distribution={0: 1.0},
-        )
+        table = TransitionTable.compile(
+            1, 2, [[[(1.0, 0, 1.0, True)], [(1.0, 0, 1.0, True)]]], {0: 1.0})
         sol = value_iteration(table, gamma=0.9)
         assert sol.policy[0] == 0
 
@@ -114,7 +93,7 @@ class TestValueIteration:
                     backed = sum(
                         e.probability
                         * (e.reward + (0.0 if e.done else gamma * sol.V[e.next_state]))
-                        for e in table.entries[s][a]
+                        for e in table.outcomes[s][a]
                     )
                     assert abs(backed - sol.Q[s][a]) <= tol
 

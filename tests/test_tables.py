@@ -11,9 +11,10 @@ from promo_gym.errors import (
     SchemaError,
     SteppedAfterDone,
 )
+from promo_gym.learner import EpisodeTrace
+from promo_gym.rendering import render_trace
 from promo_gym.tables import (
     TabularEnv,
-    TransitionEntry,
     TransitionTable,
     deserialize,
     serialize,
@@ -22,13 +23,12 @@ from promo_gym.tables import (
 )
 
 
+def one_pair_table(*outcomes) -> TransitionTable:
+    return TransitionTable.compile(1, 1, [[list(outcomes)]], {0: 1.0})
+
+
 def identity_table() -> TransitionTable:
-    return TransitionTable(
-        n_states=1,
-        n_actions=1,
-        entries={0: {0: [TransitionEntry(1.0, 0, 0.0, True)]}},
-        initial_distribution={0: 1.0},
-    )
+    return one_pair_table((1.0, 0, 0.0, True))
 
 
 class TestValidate:
@@ -39,37 +39,25 @@ class TestValidate:
         assert validate(reference_table) == []
 
     def test_bad_probability_mass_reported(self):
-        table = identity_table()
-        table.entries[0][0] = [
-            TransitionEntry(0.5, 0, 0.0, False),
-            TransitionEntry(0.4, 0, 0.0, False),
-        ]
+        table = one_pair_table((0.5, 0, 0.0, False), (0.4, 0, 0.0, False))
         report = validate(table)
         assert len(report) == 1
         assert "probability mass 0.9" in report[0]
         assert "state 0, action 0" in report[0]
 
     def test_missing_action_reported(self):
-        table = TransitionTable(
-            n_states=1,
-            n_actions=2,
-            entries={0: {0: [TransitionEntry(1.0, 0, 0.0, True)]}},
-            initial_distribution={0: 1.0},
-        )
-        assert any("action 1: missing" in v for v in validate(table))
+        # the compiled form holds every pair; a missing action has no outcomes
+        table = TransitionTable.compile(1, 2, [[[(1.0, 0, 0.0, True)], []]], {0: 1.0})
+        assert validate(table) == ["state 0, action 1: empty outcome list"]
 
     def test_next_state_out_of_range(self):
-        table = identity_table()
-        table.entries[0][0] = [TransitionEntry(1.0, 5, 0.0, True)]
-        assert any("next state 5 out of range" in v for v in validate(table))
+        table = one_pair_table((1.0, 5, 0.0, True))
+        assert validate(table) == ["state 0, action 0, entry 0: next state 5 out of range"]
 
     def test_zero_probability_forbidden(self):
-        table = identity_table()
-        table.entries[0][0] = [
-            TransitionEntry(0.0, 0, 0.0, True),
-            TransitionEntry(1.0, 0, 0.0, True),
-        ]
-        assert any("not in (0, 1]" in v for v in validate(table))
+        table = one_pair_table((0.0, 0, 0.0, True), (1.0, 0, 0.0, True))
+        assert validate(table) == [
+            "state 0, action 0, entry 0: probability 0.0 not in (0, 1]"]
 
     def test_bad_initial_distribution(self):
         table = identity_table()
@@ -123,7 +111,7 @@ class TestStepSample:
                 out = step_sample(table, s, a, rng)
                 counts[out.next_state] = counts.get(out.next_state, 0) + 1
             expected: dict[int, float] = {}
-            for e in table.entries[s][a]:
+            for e in table.outcomes[s][a]:
                 expected[e.next_state] = expected.get(e.next_state, 0.0) + e.probability
             for nxt, p in expected.items():
                 band = 3 * math.sqrt(p * (1 - p) / n)
@@ -158,41 +146,36 @@ class TestTabularEnv:
             env.step(7, RngStream(0))
 
     def test_render_without_layout(self):
-        env = TabularEnv(identity_table())
-        env.reset(RngStream(0))
+        empty = EpisodeTrace.from_steps([])
         with pytest.raises(NoLayout):
-            env.render()
-
-    def test_terminal_states(self, lake_table, reference_table):
-        assert lake_table.terminal_states() == {5, 7, 11, 12, 15}
-        # promo goal cells keep live actions, so nothing is fully terminal
-        assert reference_table.terminal_states() == set()
-        assert reference_table.goal_states() == {24}
+            render_trace(empty, identity_table())
 
 
 class TestSerialization:
     def test_identity_round_trip(self):
-        table = identity_table()
-        assert deserialize(serialize(table)) == table
+        text = serialize(identity_table())
+        assert serialize(deserialize(text)) == text
 
     def test_reference_table_round_trip_exact(self, reference_table):
         import json
 
         text = serialize(reference_table)
         again = deserialize(text)
-        assert again == reference_table
+        assert serialize(again) == text
+        assert again.goal_states() == reference_table.goal_states() == {24}
         # all 20 entries of the two demo states survive, with exact text
         doc = json.loads(text)
         for s in ("35", "36"):
             assert json.dumps(doc["P"][s]).count("0.14285714285714285") == 7
         total_entries = sum(
-            len(again.entries[s][a]) for s in (35, 36) for a in range(4)
+            len(again.outcomes[s][a]) for s in (35, 36) for a in range(4)
         )
         assert total_entries == 20
 
     def test_frozen_lake_round_trips_both_modes(self, lake_table, lake_table_slippery):
         for table in (lake_table, lake_table_slippery):
-            assert deserialize(serialize(table)) == table
+            text = serialize(table)
+            assert serialize(deserialize(text)) == text
 
     def test_key_order_ascending(self, reference_table):
         import json
