@@ -12,7 +12,8 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import EmptySeries, ParseError, SchemaError
+from . import jsondoc
+from .errors import EmptySeries, SchemaError
 
 N_BINS = 5
 _PERCENTILES = (20, 40, 60, 80)
@@ -138,25 +139,16 @@ def model_to_json(model: BinningModel) -> str:
 
 
 def model_from_json(text: str) -> BinningModel:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
-    try:
-        model = BinningModel(
-            boundaries=tuple(doc["boundaries"]),
-            fitted_on=doc["fitted_on"],
-            degenerate=doc.get("degenerate", False),
-            k=doc.get("k", N_BINS),
-        )
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"bad binning model document: {exc}") from exc
-    # type(), not isinstance: bool is a subclass of int
-    if any(type(n) is not int for n in (model.k, model.fitted_on, *model.boundaries)):
-        raise SchemaError("bad binning model document: k, boundaries and fitted_on "
-                          "must be integers")
-    if type(model.degenerate) is not bool:
-        raise SchemaError("bad binning model document: degenerate must be a boolean")
+    what = "binning model document"
+    doc = jsondoc.record(jsondoc.loads(text), what, ("boundaries", "fitted_on"),
+                         ("degenerate", "k"))
+    model = BinningModel(
+        boundaries=tuple(jsondoc.integer(b, f"{what}: boundary")
+                         for b in jsondoc.array(doc["boundaries"], f"{what}: boundaries")),
+        fitted_on=jsondoc.integer(doc["fitted_on"], f"{what}: fitted_on"),
+        degenerate=jsondoc.boolean(doc.get("degenerate", False), f"{what}: degenerate"),
+        k=jsondoc.integer(doc.get("k", N_BINS), f"{what}: k"),
+    )
     if len(model.boundaries) != N_BINS - 1 or model.k != N_BINS:
         raise SchemaError("binning model must carry 4 boundaries for 5 bins")
     if any(b >= c for b, c in zip(model.boundaries, model.boundaries[1:])):

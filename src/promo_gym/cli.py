@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import binning, ingest, metrics, promoenv, rendering, tables
+from . import binning, ingest, jsondoc, metrics, promoenv, rendering, tables
 from .errors import EmptyInput, PromoGymError, SchemaError
 from .frozen_lake import make_frozen_lake
 from .learner import QTable, evaluate_greedy, qtable_from_json, qtable_to_json, train
@@ -177,9 +177,7 @@ def _resolve_grid_spec(manifest: RunManifest) -> promoenv.PromoGridSpec:
     if env_choice.grid_spec is not None:
         return env_choice.grid_spec
     if env_choice.grid_spec_path is not None:
-        return promoenv.spec_from_json(
-            Path(env_choice.grid_spec_path).read_text(encoding="utf-8")
-        )
+        return promoenv.spec_from_json(jsondoc.read(env_choice.grid_spec_path))
     # derive from ingest outputs
     series_path = manifest.out_dir / "daily_series.csv"
     model_path = manifest.out_dir / "binning_model.json"
@@ -191,7 +189,7 @@ def _resolve_grid_spec(manifest: RunManifest) -> promoenv.PromoGridSpec:
         raise EmptyInput("deriving a promo grid needs environment.target_week")
     manifest.require_inputs("promo_plan")
     series = ingest.read_daily_series(series_path)
-    model = binning.model_from_json(model_path.read_text(encoding="utf-8"))
+    model = binning.model_from_json(jsondoc.read(model_path))
     promos = ingest.parse_promo_plan(manifest.inputs.promo_plan)
     return promoenv.derive_spec_from_data(
         series, model, promos, env_choice.target_week,
@@ -242,7 +240,7 @@ def cmd_eval(manifest: RunManifest, q_path: Path, episodes: int) -> int:
     env = TabularEnv(table)
     if not q_path.exists():
         raise EmptyInput(f"q-table not found: {q_path} (run `promo-gym train`)")
-    q = qtable_from_json(q_path.read_text(encoding="utf-8"))
+    q = qtable_from_json(jsondoc.read(q_path))
     report = evaluate_greedy(env, q, episodes=episodes,
                              max_steps=manifest.learner.max_steps_per_episode,
                              seed=manifest.learner.seed)
@@ -301,8 +299,7 @@ def _load_run_table(manifest: RunManifest) -> tables.TransitionTable:
 def _load_table(path: Path) -> tables.TransitionTable:
     """Read a table file the one way every command does: deserialize, then
     validate."""
-    return _validated(tables.deserialize(path.read_text(encoding="utf-8")),
-                      f"table {path}")
+    return _validated(tables.deserialize(jsondoc.read(path)), f"table {path}")
 
 
 def _validated(table: tables.TransitionTable, what: str) -> tables.TransitionTable:

@@ -17,12 +17,13 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
+from . import jsondoc
 from .envcore import RngStream
-from .errors import ConfigError, DimensionMismatch, NonFinite, ParseError, SchemaError
+from .errors import ConfigError, DimensionMismatch, NonFinite, SchemaError
 from .tables import TabularEnv
 
 # leading sub-stream keys keep training and evaluation randomness disjoint
@@ -50,11 +51,6 @@ class QTable:
                 )
 
 
-# LearnerConfig fields by the type they must hold; a bool is neither
-_REAL_FIELDS = ("alpha", "gamma", "epsilon_start", "epsilon_end")
-_INT_FIELDS = ("epsilon_decay_episodes", "episodes", "max_steps_per_episode", "seed")
-
-
 @dataclass(frozen=True)
 class LearnerConfig:
     """Training hyperparameters; all surfaced, all validated.
@@ -74,14 +70,12 @@ class LearnerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in _REAL_FIELDS + _INT_FIELDS:
+        for name, kind in get_type_hints(LearnerConfig).items():
             value = getattr(self, name)
-            if value is None and name == "epsilon_decay_episodes":
-                continue
-            kind = int if name in _INT_FIELDS else (int, float)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                what = "an integer" if kind is int else "a number"
-                raise ConfigError(f"{name} must be {what}, got {value!r}")
+            if kind is float:
+                jsondoc.number(value, name, ConfigError)
+            elif kind is int or value is not None:  # an int | None field may be None
+                jsondoc.integer(value, name, ConfigError)
         if not (0.0 < self.alpha <= 1.0):
             raise ConfigError(f"alpha must be in (0, 1], got {self.alpha}")
         if not (0.0 <= self.gamma < 1.0):
@@ -263,21 +257,18 @@ def qtable_to_json(q: QTable) -> str:
 
 
 def qtable_from_json(text: str) -> QTable:
+    what = "q-table document"
+    doc = jsondoc.record(jsondoc.loads(text), what, ("n_states", "n_actions", "values"))
+    n_states = jsondoc.integer(doc["n_states"], f"{what}: n_states")
+    n_actions = jsondoc.integer(doc["n_actions"], f"{what}: n_actions")
+    values = jsondoc.array(doc["values"], f"{what}: values")
+    if not all(type(v) in jsondoc.NUMBER
+               for row in values for v in jsondoc.array(row, f"{what}: values row")):
+        raise SchemaError(f"{what}: values must be numbers")
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
-    try:
-        n_states, n_actions, values = doc["n_states"], doc["n_actions"], doc["values"]
-        # type(), not isinstance: bool is a subclass of int
-        if type(n_states) is not int or type(n_actions) is not int:
-            raise SchemaError("bad q-table document: n_states and n_actions must be "
-                              "integers")
-        if not all(type(v) in (int, float) for row in values for v in row):
-            raise SchemaError("bad q-table document: values must be numbers")
         q = QTable(n_states, n_actions, np.asarray(values, dtype=float))
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad q-table document: {exc}") from exc
+    except (OverflowError, ValueError) as exc:  # a huge integer, ragged rows
+        raise SchemaError(f"{what}: {exc}") from exc
     if not np.isfinite(q.values).all():
-        raise SchemaError("bad q-table document: values must be finite")
+        raise SchemaError(f"{what}: values must be finite")
     return q

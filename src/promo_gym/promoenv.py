@@ -22,8 +22,9 @@ import json
 from dataclasses import dataclass
 from datetime import date, timedelta
 
+from . import jsondoc
 from .binning import BinningModel, assign_bin
-from .errors import NoPromoInHorizon, ParseError, SchemaError, SpecError
+from .errors import NoPromoInHorizon, SchemaError, SpecError
 from .ingest import DailySalesRecord, PromoPlanRecord
 from .tables import TransitionTable
 
@@ -265,44 +266,40 @@ def spec_to_json(spec: PromoGridSpec) -> str:
 
 
 def spec_from_json(text: str) -> PromoGridSpec:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
-    try:
-        spec = PromoGridSpec(
-            rows=_json_int(doc["rows"], "rows"),
-            width=_json_int(doc.get("width", GRID_WIDTH), "width"),
-            avail={int(r): frozenset(_json_int(c, f"avail row {r}") for c in cols)
-                   for r, cols in doc["avail"].items()},
-            goals=_json_cells(doc.get("goals", []), "goals"),
-            initial_states=_json_cells(doc["initial_states"], "initial_states"),
-            step_reward=_json_number(doc.get("step_reward", DEFAULT_STEP_REWARD),
-                                     "step_reward"),
-            forecast_fail_reward=_json_number(
-                doc.get("forecast_fail_reward", DEFAULT_FORECAST_FAIL_REWARD),
-                "forecast_fail_reward",
-            ),
-            goal_reward=_json_number(doc.get("goal_reward", DEFAULT_GOAL_REWARD),
-                                     "goal_reward"),
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad grid spec document: {exc}") from exc
+    doc = jsondoc.record(jsondoc.loads(text), "grid spec",
+                         ("rows", "avail", "initial_states"),
+                         ("width", "goals", "step_reward", "forecast_fail_reward",
+                          "goal_reward"))
+    rows = jsondoc.integer(doc["rows"], "grid spec rows")
+    avail = {}
+    for key, cols in jsondoc.obj(doc["avail"], "grid spec avail").items():
+        r = jsondoc.index(key, rows, "grid spec avail")
+        avail[r] = frozenset(jsondoc.integer(c, f"grid spec avail row {r}")
+                             for c in jsondoc.array(cols, f"grid spec avail row {r}"))
+    spec = PromoGridSpec(
+        rows=rows,
+        width=jsondoc.integer(doc.get("width", GRID_WIDTH), "grid spec width"),
+        avail=avail,
+        goals=_cells(doc.get("goals", []), "grid spec goals"),
+        initial_states=_cells(doc["initial_states"], "grid spec initial_states"),
+        step_reward=jsondoc.number(doc.get("step_reward", DEFAULT_STEP_REWARD),
+                                   "grid spec step_reward"),
+        forecast_fail_reward=jsondoc.number(
+            doc.get("forecast_fail_reward", DEFAULT_FORECAST_FAIL_REWARD),
+            "grid spec forecast_fail_reward",
+        ),
+        goal_reward=jsondoc.number(doc.get("goal_reward", DEFAULT_GOAL_REWARD),
+                                   "grid spec goal_reward"),
+    )
     spec.check()
     return spec
 
 
-def _json_int(value, what: str) -> int:
-    if type(value) is not int:  # bool, a subclass of int, is excluded
-        raise SchemaError(f"grid spec {what}: {value!r} is not an integer")
-    return value
-
-
-def _json_number(value, what: str) -> float:
-    if type(value) not in (int, float):
-        raise SchemaError(f"grid spec {what}: {value!r} is not a number")
-    return float(value)
-
-
-def _json_cells(pairs, what: str) -> frozenset[tuple[int, int]]:
-    return frozenset((_json_int(r, what), _json_int(c, what)) for r, c in pairs)
+def _cells(value, what: str) -> frozenset[tuple[int, int]]:
+    """[row, column] pairs as a set of tuples."""
+    cells = set()
+    for cell in jsondoc.array(value, what):
+        if len(jsondoc.array(cell, what)) != 2:
+            raise SchemaError(f"{what}: {cell!r} is not a [row, column] pair")
+        cells.add((jsondoc.integer(cell[0], what), jsondoc.integer(cell[1], what)))
+    return frozenset(cells)

@@ -21,7 +21,9 @@ from typing import Callable
 import numpy as np
 
 from .envcore import RngStream
-from .errors import InvalidAction, InvalidState, ParseError, SchemaError, SteppedAfterDone
+from . import jsondoc
+from .errors import InvalidAction, InvalidState, SchemaError, SteppedAfterDone
+from .jsondoc import BOOLEAN, INTEGER, NUMBER
 
 PROB_SUM_TOL = 1e-9
 
@@ -144,7 +146,9 @@ def validate(table: TransitionTable) -> list[str]:
 
     if table.layout is not None:
         rows, width = table.layout
-        if rows * width != table.n_states:
+        if rows < 1 or width < 1:
+            violations.append(f"layout {rows}x{width}: rows and width must be >= 1")
+        elif rows * width != table.n_states:
             violations.append(
                 f"layout {rows}x{width} does not cover {table.n_states} states"
             )
@@ -250,77 +254,54 @@ def serialize(table: TransitionTable) -> str:
     return json.dumps(doc, indent=1)
 
 
-# the exact types json.loads gives a number; bool, a subclass of int, is excluded
-_JSON_NUMBER = (int, float)
-
-
 def deserialize(text: str) -> TransitionTable:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
-    if not isinstance(doc, dict):
-        raise SchemaError("top-level document must be an object")
+    doc = jsondoc.record(jsondoc.loads(text), "table document",
+                         ("n_states", "n_actions", "initial_distribution", "P"),
+                         ("layout",))
+    n_states = jsondoc.integer(doc["n_states"], "n_states")
+    n_actions = jsondoc.integer(doc["n_actions"], "n_actions")
 
-    for key in ("n_states", "n_actions", "initial_distribution", "P"):
-        if key not in doc:
-            raise SchemaError(f"missing required field {key!r}")
-    n_states = doc["n_states"]
-    n_actions = doc["n_actions"]
-    if not isinstance(n_states, int) or not isinstance(n_actions, int):
-        raise SchemaError("n_states and n_actions must be integers")
-
-    if not isinstance(doc["initial_distribution"], dict):
-        raise SchemaError("initial_distribution must be an object keyed by state index")
     initial = {}
-    for key, p in doc["initial_distribution"].items():
-        s = _parse_index(key, n_states, "initial_distribution")
-        if type(p) not in _JSON_NUMBER:
-            raise SchemaError(f"initial_distribution: probability {p!r} for state {s} "
-                              "is not a number")
-        initial[s] = p
+    for key, p in jsondoc.obj(doc["initial_distribution"],
+                              "initial_distribution").items():
+        s = jsondoc.index(key, n_states, "initial_distribution")
+        initial[s] = jsondoc.number(p, f"initial_distribution: probability for state {s}")
 
     layout = None
-    if "layout" in doc and doc["layout"] is not None:
-        lay = doc["layout"]
-        if not isinstance(lay, dict) or "rows" not in lay or "width" not in lay:
-            raise SchemaError("layout must carry rows and width")
-        layout = (lay["rows"], lay["width"])
-        if any(type(n) is not int for n in layout):
-            raise SchemaError(f"layout rows and width must be integers, got {layout}")
+    if doc.get("layout") is not None:
+        lay = jsondoc.record(doc["layout"], "layout", ("rows", "width"))
+        layout = (jsondoc.integer(lay["rows"], "layout rows"),
+                  jsondoc.integer(lay["width"], "layout width"))
 
+    # the row checks stay inline: a large table has tens of thousands of rows
     outcomes: dict[int, dict[int, list]] = {}
-    P = doc["P"]
-    if not isinstance(P, dict):
-        raise SchemaError("P must be an object keyed by state index")
-    for s_key, actions in P.items():
-        s = _parse_index(s_key, n_states, "P")
-        if not isinstance(actions, dict):
-            raise SchemaError(f"state {s}: actions must be an object")
+    for s_key, actions in jsondoc.obj(doc["P"], "P").items():
+        s = jsondoc.index(s_key, n_states, "P")
+        where = f"state {s}"
         outcomes[s] = {}
-        for a_key, rows in actions.items():
-            a = _parse_index(a_key, n_actions, f"state {s}")
+        for a_key, rows in jsondoc.obj(actions, f"{where}: actions").items():
+            a = jsondoc.index(a_key, n_actions, where)
             if not isinstance(rows, list):
-                raise SchemaError(f"state {s}, action {a}: outcomes must be an array")
+                raise SchemaError(f"{where}, action {a}: outcomes must be an array")
             for i, row in enumerate(rows):
                 if not isinstance(row, list) or len(row) != 4:
                     raise SchemaError(
-                        f"state {s}, action {a}, entry {i}: expected "
+                        f"{where}, action {a}, entry {i}: expected "
                         "[probability, next_state, reward, done]"
                     )
                 prob, nxt, rew, done = row
-                if type(prob) not in _JSON_NUMBER or type(rew) not in _JSON_NUMBER:
+                if type(prob) not in NUMBER or type(rew) not in NUMBER:
                     raise SchemaError(
-                        f"state {s}, action {a}, entry {i}: probability and reward "
+                        f"{where}, action {a}, entry {i}: probability and reward "
                         "must be numbers"
                     )
-                if not isinstance(nxt, int) or isinstance(nxt, bool):
+                if type(nxt) not in INTEGER:
                     raise SchemaError(
-                        f"state {s}, action {a}, entry {i}: next state must be an integer"
+                        f"{where}, action {a}, entry {i}: next state must be an integer"
                     )
-                if not isinstance(done, bool):
+                if type(done) not in BOOLEAN:
                     raise SchemaError(
-                        f"state {s}, action {a}, entry {i}: done must be a boolean"
+                        f"{where}, action {a}, entry {i}: done must be a boolean"
                     )
             outcomes[s][a] = rows
     for s in range(n_states):
@@ -334,13 +315,3 @@ def deserialize(text: str) -> TransitionTable:
         return TransitionTable.compile(n_states, n_actions, outcomes, initial, layout)
     except OverflowError as exc:  # an integer beyond float or index range
         raise SchemaError(f"number out of range: {exc}") from None
-
-
-def _parse_index(key: str, bound: int, where: str) -> int:
-    try:
-        idx = int(key)
-    except (TypeError, ValueError):
-        raise SchemaError(f"{where}: key {key!r} is not an integer index") from None
-    if not (0 <= idx < bound):
-        raise SchemaError(f"{where}: index {idx} out of range 0..{bound - 1}")
-    return idx

@@ -26,6 +26,10 @@ def write_manifest(tmp_path: Path, doc: dict) -> Path:
     return path
 
 
+def rename_key(mapping: dict, old: str, new: str) -> None:
+    mapping[new] = mapping.pop(old)
+
+
 def small_ingest_manifest(tmp_path: Path, rx_rows: list[str]) -> Path:
     (tmp_path / "rx.csv").write_text(
         RX_HEADER + "\n" + "".join(row + "\n" for row in rx_rows)
@@ -195,9 +199,13 @@ class TestBuildCommand:
         lambda doc: doc["goals"][0].__setitem__(0, True),
         lambda doc: doc.update(step_reward="-1"),
         lambda doc: doc.update(goal_reward=True),
+        lambda doc: rename_key(doc["avail"], "0", "00"),
+        lambda doc: rename_key(doc["avail"], "1", "+1"),
+        lambda doc: rename_key(doc["avail"], "1", " 1"),
     ], ids=["string-goal-row", "string-avail-column", "string-initial-row",
             "float-initial-row", "float-rows", "float-width", "bool-goal-row",
-            "string-reward", "bool-reward"])
+            "string-reward", "bool-reward", "avail-key-00", "avail-key-plus-1",
+            "avail-key-space-1"])
     def test_mistyped_grid_spec_exit_2(self, tmp_path, fixtures_dir, capsys, mutate,
                                        inline):
         doc = json.loads((fixtures_dir / "reference_grid_spec.json").read_text())
@@ -448,6 +456,60 @@ class TestNumberBeyondRange:
         assert "out of range" in capsys.readouterr().err
 
 
+def lake_with_key(section: tuple[str, ...], old: str, new: str) -> dict:
+    doc = json.loads(serialize(make_frozen_lake(slippery=False)))
+    mapping = doc
+    for key in section:
+        mapping = mapping[key]
+    rename_key(mapping, old, new)
+    return doc
+
+
+UNIT_TABLE = {"n_states": 1, "n_actions": 1, "initial_distribution": {"0": 1.0},
+              "P": {"0": {"0": [[1.0, 0, 0.0, True]]}}}
+
+
+class TestTableKeysAndCounts:
+    @pytest.mark.parametrize("doc", [
+        lake_with_key(("P",), "0", "00"),
+        lake_with_key(("P",), "1", "+1"),
+        lake_with_key(("P",), "1", " 1"),
+        lake_with_key(("P", "0"), "1", "+1"),
+        lake_with_key(("initial_distribution",), "0", "00"),
+        lake_with_key(("initial_distribution",), "0", "+0"),
+        lake_with_key(("initial_distribution",), "0", " 0"),
+        dict(UNIT_TABLE, n_states=True),
+        dict(UNIT_TABLE, n_actions=True),
+    ], ids=["state-00", "state-plus-1", "state-space-1", "action-plus-1",
+            "initial-00", "initial-plus-0", "initial-space-0", "bool-n-states",
+            "bool-n-actions"])
+    def test_non_canonical_key_or_bool_count_exit_2(self, tmp_path, capsys, doc):
+        """An index key is the canonical decimal of its index and a count is a
+        JSON integer; each document here names a valid table otherwise."""
+        (tmp_path / "table.json").write_text(json.dumps(doc))
+        manifest = write_manifest(tmp_path, {
+            "environment": {"kind": "table", "table_path": "table.json"},
+            "out_dir": "out",
+        })
+        assert main(["build", "--manifest", str(manifest)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out" / "table.json").exists()
+
+    @pytest.mark.parametrize("text", [
+        b"[" * 100_000,
+        b'{"n_states": ' + b"1" * 5000 + b"}",
+        b'{"n_states": "\xff"}',
+    ], ids=["deep-nesting", "5000-digit-integer", "not-utf-8"])
+    def test_unreadable_json_exit_2(self, tmp_path, capsys, text):
+        (tmp_path / "table.json").write_bytes(text)
+        manifest = write_manifest(tmp_path, {
+            "environment": {"kind": "table", "table_path": "table.json"},
+            "out_dir": "out",
+        })
+        assert main(["build", "--manifest", str(manifest)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestMalformedTrace:
     @pytest.mark.parametrize("command", ["render", "export-metrics"])
     @pytest.mark.parametrize("row", [
@@ -515,6 +577,19 @@ class TestPipelineClosure:
                      "--episodes", "25"]) == 0
         report = json.loads((tmp_path / "out" / "eval_report.json").read_text())
         assert report["episodes"] == 25
+
+
+    def test_readme_trace_commands(self, tmp_path, fixtures_dir):
+        """README's render and export-metrics, after training with the
+        traces-on fixture manifest."""
+        out = tmp_path / "out"
+        manifest = str(fixtures_dir / "manifest_traces.json")
+        for command in ("ingest", "build", "train"):
+            assert main([command, "--manifest", manifest, "--out", str(out),
+                         *(["--episodes", "50"] if command == "train" else [])]) == 0
+        assert main(["render", "--trace", str(out / "traces" / "episode_00000.csv"),
+                     "--table", str(out / "table.json")]) == 0
+        assert main(["export-metrics", "--manifest", manifest, "--out", str(out)]) == 0
 
 
 class TestConsoleEntryPoint:

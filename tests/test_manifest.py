@@ -19,6 +19,14 @@ def test_bundled_manifest_loads(fixtures_dir):
     assert manifest.inputs.rx_transactions == fixtures_dir / "rx_transactions.csv"
 
 
+def test_traces_manifest_is_the_fixture_manifest_with_traces_on(fixtures_dir):
+    plain = load_manifest(fixtures_dir / "manifest.json")
+    traces = load_manifest(fixtures_dir / "manifest_traces.json")
+    assert traces.emit.traces and not plain.emit.traces
+    traces.emit.traces = False
+    assert traces == plain
+
+
 def test_round_trip_is_lossless(fixtures_dir, tmp_path):
     manifest = load_manifest(fixtures_dir / "manifest.json")
     dumped = tmp_path / "manifest.json"
@@ -42,6 +50,12 @@ def test_inline_grid_spec_round_trips(fixtures_dir, tmp_path):
     dumped = tmp_path / "m2.json"
     dumped.write_text(manifest_to_json(manifest), encoding="utf-8")
     assert load_manifest(dumped) == manifest
+
+
+def test_default_out_dir_is_beside_the_manifest(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text("{}")
+    assert load_manifest(path).out_dir == tmp_path / "out"
 
 
 def test_unknown_env_kind_rejected(tmp_path):
@@ -80,6 +94,11 @@ def test_missing_manifest_rejected(tmp_path):
     {"learner": {"max_steps_per_episode": True}},
     {"environment": {"target_week": 20150608}},
     {"out_dir": 5},
+    {"out_dir": None},
+    {"outdir": "out"},
+    {"inputs": {"promoplan": "promo_plan.csv"}},
+    {"environment": {"slipery": True}},
+    {"emit": {"trace": True}},
 ])
 def test_malformed_manifest_exits_2(tmp_path, capsys, doc):
     path = tmp_path / "m.json"
@@ -88,6 +107,20 @@ def test_malformed_manifest_exits_2(tmp_path, capsys, doc):
         load_manifest(path)
     assert main(["build", "--manifest", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'{"out_dir": "\xff"}', "not UTF-8"),
+    (None, "a directory"),
+], ids=["not-utf-8", "directory"])
+def test_unreadable_manifest_exits_2(tmp_path, capsys, content, message):
+    path = tmp_path / "m.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert main(["build", "--manifest", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_malformed_inline_grid_spec_exits_2(tmp_path, fixtures_dir, capsys):

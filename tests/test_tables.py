@@ -65,9 +65,11 @@ class TestValidate:
         assert any("initial distribution" in v for v in validate(table))
 
     def test_layout_must_cover_states(self):
-        table = identity_table()
-        table.layout = (2, 3)
-        assert any("layout" in v for v in validate(table))
+        # (-1, -1) covers the one state by its product alone
+        for layout in [(2, 3), (-1, -1)]:
+            table = identity_table()
+            table.layout = layout
+            assert any("layout" in v for v in validate(table)), layout
 
 
 class TestStepSample:
