@@ -317,13 +317,11 @@ def _write_metrics(out: Path, series: metrics.MetricsSeries, csvs: bool,
         metrics.write_episodic_csv(out / "episodic.csv", series)
     if plots:
         metrics.write_line_chart_svg(
-            out / "mean_cumulative.svg",
-            [(float(s), v) for s, v in series.mean_cumulative],
+            out / "mean_cumulative.svg", range(1, len(series.means) + 1), series.means,
             "Mean cumulative reward", "step", "mean cumulative reward",
         )
         metrics.write_line_chart_svg(
-            out / "episodic.svg",
-            [(float(e), v) for e, v in series.episodic],
+            out / "episodic.svg", range(len(series.totals)), series.totals,
             "Episodic reward", "episode", "total reward",
         )
 

@@ -195,10 +195,9 @@ def train(env: TabularEnv, config: LearnerConfig, q: QTable) -> Iterator[Episode
     """
     if env.table.n_states < 1 or env.table.n_actions < 1:
         raise DimensionMismatch("environment spaces must be non-empty")
-    root = RngStream(config.seed)
-    for episode in range(config.episodes):
+    streams = RngStream(config.seed).substream(TRAIN_STREAM).substreams(config.episodes)
+    for episode, rng in enumerate(streams):
         epsilon = epsilon_schedule(config, episode)
-        rng = root.substream(TRAIN_STREAM, episode)
         yield run_episode(env, q, config, epsilon, rng, learning=True)
 
 
@@ -219,12 +218,10 @@ def evaluate_greedy(env: TabularEnv, q: QTable, episodes: int, max_steps: int,
         return {"episodes": 0}
     config = LearnerConfig(episodes=episodes, max_steps_per_episode=max_steps,
                            seed=seed)
-    root = RngStream(seed)
     totals = []
     successes = 0
     truncations = 0
-    for i in range(episodes):
-        rng = root.substream(EVAL_STREAM, i)
+    for rng in RngStream(seed).substream(EVAL_STREAM).substreams(episodes):
         trace = run_episode(env, q, config, epsilon=0.0, rng=rng, learning=False)
         totals.append(trace.total_reward)
         last = trace.steps[-1]

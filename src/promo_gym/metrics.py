@@ -10,7 +10,8 @@ Two series summarize a training run:
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from array import array
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TextIO
@@ -27,8 +28,8 @@ _DONE = {"true": True, "false": False}
 
 @dataclass
 class MetricsSeries:
-    mean_cumulative: list[tuple[int, float]]  # (step index from 1, mean)
-    episodic: list[tuple[int, float]]         # (episode index from 0, total)
+    means: array    # "d": mean cumulative reward after steps 1, 2, ...
+    totals: array   # "d": total reward of episodes 0, 1, ...
 
 
 def compute_metrics(traces: Iterable[EpisodeTrace]) -> MetricsSeries:
@@ -37,7 +38,7 @@ def compute_metrics(traces: Iterable[EpisodeTrace]) -> MetricsSeries:
     per-step sums in episode order, as mean(axis=0) adds the rows of an
     episodes x steps grid, so the means are bit-identical to the grid's."""
     sums = np.zeros(1)  # per-step sums of the carry-forward rows so far
-    totals = []
+    totals = array("d")
     for trace in traces:
         n = len(trace.cumulative)
         if n > len(sums):  # new steps start from the last sum: the totals so far
@@ -49,10 +50,7 @@ def compute_metrics(traces: Iterable[EpisodeTrace]) -> MetricsSeries:
         raise EmptyInput("no traces to compute metrics over")
     if len(sums) == 1:  # the grid mean sums a lone column pairwise, not in order
         sums = np.array([np.sum(totals)])
-    return MetricsSeries(
-        mean_cumulative=list(enumerate((sums / len(totals)).tolist(), start=1)),
-        episodic=list(enumerate(totals)),
-    )
+    return MetricsSeries(means=array("d", sums / len(totals)), totals=totals)
 
 
 # --- CSV emission --------------------------------------------------------------
@@ -61,12 +59,13 @@ def compute_metrics(traces: Iterable[EpisodeTrace]) -> MetricsSeries:
 def write_mean_cumulative_csv(target: str | Path | TextIO,
                               series: MetricsSeries) -> None:
     _write_csv(target, ["step", "mean_cumulative_reward"],
-               ((str(step), repr(value)) for step, value in series.mean_cumulative))
+               ((str(step), repr(value))
+                for step, value in enumerate(series.means, start=1)))
 
 
 def write_episodic_csv(target: str | Path | TextIO, series: MetricsSeries) -> None:
     _write_csv(target, ["episode", "total_reward"],
-               ((str(ep), repr(total)) for ep, total in series.episodic))
+               ((str(ep), repr(total)) for ep, total in enumerate(series.totals)))
 
 
 def write_trace_csv(target: str | Path | TextIO, trace: EpisodeTrace) -> None:
@@ -108,13 +107,14 @@ def read_trace_csv(source: str | Path | TextIO) -> EpisodeTrace:
 _SVG_W, _SVG_H, _MARGIN = 640, 360, 48
 
 
-def write_line_chart_svg(target: str | Path, points: list[tuple[float, float]],
+def write_line_chart_svg(target: str | Path, xs: Sequence[float], ys: Sequence[float],
                          title: str, x_label: str, y_label: str) -> None:
-    if not points:
+    """Chart the points (xs[i], ys[i]). Each sequence is read twice and no
+    list of points is made, so a range and an array chart a long series in
+    their own memory."""
+    if not len(ys):
         raise EmptyInput("no points to chart")
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    x_lo, x_hi = min(xs), max(xs)
+    x_lo, x_hi = float(min(xs)), float(max(xs))
     y_lo, y_hi = min(ys), max(ys)
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
@@ -127,8 +127,7 @@ def write_line_chart_svg(target: str | Path, points: list[tuple[float, float]],
     def sy(y: float) -> float:
         return _SVG_H - _MARGIN - (y - y_lo) / y_span * plot_h
 
-    poly = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in points)
-    parts = [
+    head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
         f'viewBox="0 0 {_SVG_W} {_SVG_H}">',
         f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
@@ -151,7 +150,11 @@ def write_line_chart_svg(target: str | Path, points: list[tuple[float, float]],
         f'font-family="sans-serif" font-size="10">{y_lo:g}</text>',
         f'<text x="{_MARGIN - 4}" y="{_MARGIN + 4}" text-anchor="end" '
         f'font-family="sans-serif" font-size="10">{y_hi:g}</text>',
-        f'<polyline points="{poly}" fill="none" stroke="#2266cc" stroke-width="1.5"/>',
-        "</svg>",
+        '<polyline points="',
     ]
-    Path(target).write_text("\n".join(parts) + "\n", encoding="utf-8")
+    coords = (f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
+    with open(target, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(head))
+        handle.write(next(coords))
+        handle.writelines(" " + c for c in coords)
+        handle.write('" fill="none" stroke="#2266cc" stroke-width="1.5"/>\n</svg>\n')

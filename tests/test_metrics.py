@@ -36,21 +36,21 @@ def trace_from_rewards(rewards, done_last=True) -> EpisodeTrace:
 class TestComputeMetrics:
     def test_single_trace(self):
         series = compute_metrics([trace_from_rewards([-1, -1, 10])])
-        assert series.mean_cumulative == [(1, -1.0), (2, -2.0), (3, 8.0)]
-        assert series.episodic == [(0, 8.0)]
+        assert list(series.means) == [-1.0, -2.0, 8.0]
+        assert list(series.totals) == [8.0]
 
     def test_carry_forward_over_short_episodes(self):
         series = compute_metrics([
             trace_from_rewards([1]),
             trace_from_rewards([1, 1]),
         ])
-        assert series.mean_cumulative == [(1, 1.0), (2, 1.5)]
-        assert series.episodic == [(0, 1.0), (1, 2.0)]
+        assert list(series.means) == [1.0, 1.5]
+        assert list(series.totals) == [1.0, 2.0]
 
     def test_identical_traces_mean_equals_each(self):
         traces = [trace_from_rewards([-1, 2, -3]) for _ in range(100)]
         series = compute_metrics(traces)
-        assert [v for _, v in series.mean_cumulative] == [-1.0, 1.0, -2.0]
+        assert list(series.means) == [-1.0, 1.0, -2.0]
 
     def test_last_cumulative_equals_total(self):
         traces = [trace_from_rewards([0.5, -2, 7, 1]), trace_from_rewards([3])]
@@ -71,12 +71,11 @@ def grid_metrics(traces):
         grid[i, :n] = trace.cumulative
         grid[i, n:] = trace.cumulative[-1]
     means = grid.mean(axis=0)
-    return ([(t + 1, float(means[t])) for t in range(horizon)],
-            [(i, trace.total_reward) for i, trace in enumerate(traces)])
+    return means.tolist(), [trace.total_reward for trace in traces]
 
 
-def hexed(series):
-    return [(i, float.hex(v)) for i, v in series]
+def hexed(values):
+    return [float.hex(v) for v in values]
 
 
 _reward = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
@@ -102,8 +101,8 @@ class TestStreamingMatchesGrid:
                   for r in episodes]
         series = compute_metrics(iter(traces))
         mean_cumulative, episodic = grid_metrics(traces)
-        assert hexed(series.mean_cumulative) == hexed(mean_cumulative)
-        assert hexed(series.episodic) == hexed(episodic)
+        assert hexed(series.means) == hexed(mean_cumulative)
+        assert hexed(series.totals) == hexed(episodic)
 
 
 class TestKeepsNoTrace:
@@ -177,8 +176,9 @@ class TestSvg:
         points = [(float(i), float(i * i % 7)) for i in range(1, 50)]
         a = tmp_path / "a.svg"
         b = tmp_path / "b.svg"
-        write_line_chart_svg(a, points, "title", "x", "y")
-        write_line_chart_svg(b, points, "title", "x", "y")
+        xs, ys = zip(*points)
+        write_line_chart_svg(a, xs, ys, "title", "x", "y")
+        write_line_chart_svg(b, xs, ys, "title", "x", "y")
         text = a.read_text()
         assert text.startswith("<svg ")
         assert "<polyline" in text and text.rstrip().endswith("</svg>")
@@ -186,4 +186,4 @@ class TestSvg:
 
     def test_empty_points_rejected(self, tmp_path):
         with pytest.raises(EmptyInput):
-            write_line_chart_svg(tmp_path / "x.svg", [], "t", "x", "y")
+            write_line_chart_svg(tmp_path / "x.svg", [], [], "t", "x", "y")
