@@ -13,7 +13,6 @@ import operator
 from collections.abc import Iterator
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .errors import NoLayout
 
@@ -61,6 +60,8 @@ class RngStream:
         uint32 array expression over the indices. An index that is not one
         32-bit word takes substream(i), which raises for a negative one.
         """
+        from numpy.random.bit_generator import ISeedSequence  # numpy.random loads lazily
+        ISeedSequence.register(_KnownState)  # PCG64 takes any ISeedSequence
         start = int(start)
         stop = start + operator.index(count)
         # SeedSequence mixes the key's words into its pool, then the index's
@@ -92,7 +93,7 @@ class RngStream:
         return f"RngStream(seed={self.seed}, key={self.key}, algorithm={self.ALGORITHM!r})"
 
 
-class _KnownState(ISeedSequence):
+class _KnownState:
     """Hands PCG64 a state computed beforehand, which is all it asks a
     seed sequence for."""
 
