@@ -64,8 +64,8 @@ class RngStream:
         ISeedSequence.register(_KnownState)  # PCG64 takes any ISeedSequence
         start = int(start)
         stop = start + operator.index(count)
-        # SeedSequence mixes the key's words into its pool, then the index's
-        # one word with four more hashes
+        # when SeedSequence mixes in the index word, its hash constant has
+        # stepped 16 times over the seed's pool and 4 times per key word
         pool = np.random.SeedSequence(self.seed, spawn_key=self.key).pool.tolist()
         words = sum(max(1, -(-k.bit_length() // 32)) for k in self.key)
         hash_const = _INIT_A * pow(_MULT_A, 16 + 4 * words, _MASK32 + 1) & _MASK32
