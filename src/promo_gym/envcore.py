@@ -1,5 +1,4 @@
-"""Building blocks shared by every environment: seeded RNG streams and
-the text grid.
+"""Seeded RNG streams, the one source of randomness of every environment.
 
 Every environment in the toolkit is episodic and discrete: states and
 actions are integer indices, one step samples a single transition, and
@@ -13,8 +12,6 @@ import operator
 from collections.abc import Iterator
 
 import numpy as np
-
-from .errors import NoLayout
 
 # numpy's SeedSequence hash constants; NEP 19 keeps its output fixed
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -38,7 +35,7 @@ class RngStream:
 
     def __init__(self, seed: int, _key: tuple[int, ...] = (),
                  _state: np.ndarray | None = None):
-        seed = int(seed)
+        seed = operator.index(seed)
         if seed < 0 or seed >= 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
         self.seed = seed
@@ -49,7 +46,7 @@ class RngStream:
 
     def substream(self, *key: int) -> "RngStream":
         """Independent stream derived from (seed, existing key, key)."""
-        return RngStream(self.seed, self.key + tuple(int(k) for k in key))
+        return RngStream(self.seed, self.key + tuple(map(operator.index, key)))
 
     def substreams(self, count: int, start: int = 0) -> Iterator["RngStream"]:
         """The streams self.substream(i) for i in range(start, start + count),
@@ -62,7 +59,7 @@ class RngStream:
         """
         from numpy.random.bit_generator import ISeedSequence  # numpy.random loads lazily
         ISeedSequence.register(_KnownState)  # PCG64 takes any ISeedSequence
-        start = int(start)
+        start = operator.index(start)
         stop = start + operator.index(count)
         # when SeedSequence mixes in the index word, its hash constant has
         # stepped 16 times over the seed's pool and 4 times per key word
@@ -130,26 +127,3 @@ def _spawn_states(pool: list[int], hash_const: int, index: np.ndarray) -> np.nda
     # little-endian word pairs, as generate_state assembles its uint64s
     return words.astype("<u4").view("<u8").astype(np.uint64)
 
-
-def format_grid(rows: int, width: int, mark_state: int | None,
-                goal_states: frozenset[int] | set[int] = frozenset()) -> str:
-    """Render a rows x width grid, one character per cell.
-
-    '@' marks the current state, 'G' marks goal cells, '.' everything
-    else. Raises NoLayout when the geometry is absent or empty.
-    """
-    if rows is None or width is None or rows < 1 or width < 1:
-        raise NoLayout("environment has no renderable grid geometry")
-    lines = []
-    for r in range(rows):
-        cells = []
-        for c in range(width):
-            s = r * width + c
-            if mark_state is not None and s == mark_state:
-                cells.append("@")
-            elif s in goal_states:
-                cells.append("G")
-            else:
-                cells.append(".")
-        lines.append("".join(cells))
-    return "\n".join(lines)

@@ -161,36 +161,20 @@ def _schema(cls) -> tuple[list[str], list[tuple], list[tuple]]:
 # --- CSV plumbing ------------------------------------------------------------
 
 
-def _csv_reader(handle: TextIO, name: str) -> Iterator[list[str]]:
-    """csv.reader over handle; bytes it cannot read raise ParseError."""
-    reader = csv.reader(handle)
-    try:
-        yield from reader
-    except csv.Error as exc:  # an oversized field, or NUL before Python 3.11
-        raise ParseError(f"{name}: line {reader.line_num}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{name}: not UTF-8 text: {exc}") from None
-
-
 def _open_rows(source: str | Path | TextIO, expected: list[str]):
-    """Yield (row_number, row) pairs after checking the header row."""
-    if isinstance(source, (str, Path)):
-        handle: TextIO = open(source, newline="", encoding="utf-8")
-        name = str(source)
-        own = True
-    else:
-        handle = source
-        name = getattr(source, "name", "<stream>")
-        own = False
+    """Yield (row_number, row) pairs after checking the header row and
+    skipping all-blank rows; bytes csv cannot read raise ParseError."""
+    own = isinstance(source, (str, Path))
+    handle: TextIO = open(source, newline="", encoding="utf-8") if own else source
+    name = _source_name(source)
 
     def rows() -> Iterator[tuple[int, list[str]]]:
+        reader = csv.reader(handle)
         try:
-            reader = _csv_reader(handle, name)
-            try:
-                header = next(reader)
-            except StopIteration:
+            header = next(reader, None)
+            if header is None:
                 raise HeaderMismatch(f"{name}: file is empty, expected header "
-                                     f"{','.join(expected)}") from None
+                                     f"{','.join(expected)}")
             if [h.strip() for h in header] != expected:
                 raise HeaderMismatch(
                     f"{name}: header {','.join(header)!r} does not match "
@@ -200,11 +184,22 @@ def _open_rows(source: str | Path | TextIO, expected: list[str]):
                 if not "".join(row).strip():  # no cells, or only blank ones
                     continue
                 yield i, row
+        except csv.Error as exc:  # an oversized field, or NUL before Python 3.11
+            raise ParseError(f"{name}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{name}: not UTF-8 text: {exc}") from None
         finally:
             if own:
                 handle.close()
 
     return rows()
+
+
+def _source_name(source: str | Path | TextIO) -> str:
+    """How messages name a CSV source: its path, or its stream's name."""
+    if isinstance(source, (str, Path)):
+        return str(source)
+    return getattr(source, "name", "<stream>")
 
 
 def _read(source: str | Path | TextIO, cls, strict: bool = True,

@@ -174,14 +174,13 @@ def run_episode(env: TabularEnv, q: QTable, config: LearnerConfig,
     steps: list[TraceStep] = []
     for _ in range(config.max_steps_per_episode):
         action = act(q, state, epsilon, rng)
-        outcome = env.step(action, rng)
+        _, next_state, reward, done = env.step(action, rng)
         if learning:
-            q_update(q, state, action, outcome.reward, outcome.next_state,
-                     outcome.done, config.alpha, config.gamma)
-        steps.append(TraceStep(state, action, outcome.reward,
-                               outcome.next_state, outcome.done))
-        state = outcome.next_state
-        if outcome.done:
+            q_update(q, state, action, reward, next_state, done,
+                     config.alpha, config.gamma)
+        steps.append(TraceStep(state, action, reward, next_state, done))
+        state = next_state
+        if done:
             break
     return EpisodeTrace.from_steps(steps)
 

@@ -19,7 +19,7 @@ from typing import TextIO
 import numpy as np
 
 from .errors import EmptyInput, RowError
-from .ingest import _csv_reader, _write_csv
+from .ingest import _open_rows, _source_name, _write_csv
 from .learner import EpisodeTrace, TraceStep
 
 _TRACE_HEADER = ["step", "state", "action", "reward", "next_state", "done"]
@@ -76,18 +76,9 @@ def write_trace_csv(target: str | Path | TextIO, trace: EpisodeTrace) -> None:
 
 
 def read_trace_csv(source: str | Path | TextIO) -> EpisodeTrace:
-    if isinstance(source, (str, Path)):
-        with open(source, newline="", encoding="utf-8") as handle:
-            return read_trace_csv(handle)
-    name = getattr(source, "name", "<stream>")
-    reader = _csv_reader(source, name)
-    header = next(reader, None)
-    if header != _TRACE_HEADER:
-        raise EmptyInput(f"not a trace file: header {header}")
+    """Read a trace file by the rules of every input CSV (ingest._open_rows)."""
     steps = []
-    for row_num, row in enumerate(reader, start=2):
-        if not row:
-            continue
+    for row_num, row in _open_rows(source, _TRACE_HEADER):
         try:
             _, state, action, reward, next_state, done = row
             steps.append(TraceStep(state=int(state), action=int(action),
@@ -96,7 +87,7 @@ def read_trace_csv(source: str | Path | TextIO) -> EpisodeTrace:
         except (ValueError, KeyError):
             raise RowError(f"not a trace row: {','.join(row)!r}", row_num) from None
     if not steps:  # an episode takes at least one step
-        raise EmptyInput(f"{name}: trace has no steps")
+        raise EmptyInput(f"{_source_name(source)}: trace has no steps")
     return EpisodeTrace.from_steps(steps)
 
 

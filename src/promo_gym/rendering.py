@@ -9,7 +9,6 @@ positive reward is the successful forecast and gets flagged.
 
 from __future__ import annotations
 
-from .envcore import format_grid
 from .errors import NoLayout, StateOutOfRange
 from .learner import EpisodeTrace
 from .promoenv import ACTION_NAMES, GRID_WIDTH, N_ACTIONS
@@ -21,7 +20,7 @@ _CELL_W = 4
 
 def render_trace(trace: EpisodeTrace, table: TransitionTable) -> str:
     """Render every frame of an episode; header only for an empty trace."""
-    if table.layout is None:
+    if table.layout is None or min(table.layout) < 1:
         raise NoLayout("table registered without renderable geometry")
     rows, width = table.layout
     promo_style = width == GRID_WIDTH and table.n_actions == N_ACTIONS
@@ -60,10 +59,12 @@ def _header(width: int, promo_style: bool) -> str:
 
 
 def _frame(rows: int, width: int, mark: int, goals: set[int]) -> str:
-    """format_grid with every cell padded to the header's column width."""
+    """One character per cell, padded to the header's column width: '@'
+    marks the current state, 'G' a goal cell, '.' every other cell."""
     gap = " " * (_CELL_W - 1)
-    return "\n".join(gap.join(line)
-                     for line in format_grid(rows, width, mark, goals).splitlines())
+    return "\n".join(gap.join("@" if s == mark else "G" if s in goals else "."
+                              for s in range(r * width, (r + 1) * width))
+                     for r in range(rows))
 
 
 def _check_state(state: int, table: TransitionTable) -> None:

@@ -4,9 +4,10 @@ A table keeps every outcome in four flat columns (probability,
 next_state, reward, done). The outcomes of the pair (state s, action a)
 are the rows starts[k]:starts[k + 1], where k = s * n_actions + a, in
 listed order. The value-iteration oracle and validation read the
-columns; sampling environments read a per-pair list view built from
-them once; the on-disk JSON document nests the same rows by state and
-action.
+columns. Everything else reads a row as a TransitionEntry tuple, from
+the per-pair view built from the columns once: sampling draws from it,
+TabularEnv.step returns its rows, and the on-disk JSON document nests
+them by state and action.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from operator import attrgetter, itemgetter
-from typing import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,10 +28,10 @@ from .jsondoc import BOOLEAN, INTEGER, NUMBER
 PROB_SUM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class TransitionEntry:
-    """One possible outcome of taking an action in a state, as the
-    sampling view lists it."""
+class TransitionEntry(NamedTuple):
+    """One possible outcome of taking an action in a state: one row of
+    the columns, as the view lists it, step returns it and the document
+    writes it."""
 
     probability: float
     next_state: int
@@ -79,7 +79,7 @@ class TransitionTable:
     @cached_property
     def outcomes(self) -> list[list[list[TransitionEntry]]]:
         """outcomes[s][a] is the pair's outcome list, built from the columns
-        on first use; sampling reads it."""
+        on first use; sampling and serialize read it."""
         entries = list(map(TransitionEntry, self.probability.tolist(),
                            self.next_state.tolist(), self.reward.tolist(),
                            self.done.tolist()))
@@ -166,33 +166,22 @@ def step_sample(table: TransitionTable, state: int, action: int,
         raise InvalidState(f"state {state} out of range 0..{table.n_states - 1}")
     if not (0 <= action < table.n_actions):
         raise InvalidAction(f"action {action} out of range 0..{table.n_actions - 1}")
-    return _inverse_cdf(table.outcomes[state][action], _ENTRY_PROBABILITY, rng)
+    return _inverse_cdf(table.outcomes[state][action], rng)
 
 
-def sample_initial_state(table: TransitionTable, rng: RngStream) -> int:
-    """Draw an initial state; single-point distributions skip the rng."""
-    items = sorted(table.initial_distribution.items())
-    return _inverse_cdf(items, _ITEM_PROBABILITY, rng)[0]
-
-
-_ENTRY_PROBABILITY = attrgetter("probability")
-_ITEM_PROBABILITY = itemgetter(1)
-
-
-def _inverse_cdf(outcomes: list, probability: Callable[[object], float],
-                 rng: RngStream):
-    """One uniform draw mapped through the cumulative probabilities, in
-    listed order. A single outcome is returned without drawing; the last
-    outcome also catches float mass that sums to just under 1."""
-    if len(outcomes) == 1:
-        return outcomes[0]
+def _inverse_cdf(rows: list, rng: RngStream):
+    """One uniform draw mapped through the cumulative probabilities
+    row[0], in listed order. A single row is returned without drawing;
+    the last row also catches float mass that sums to just under 1."""
+    if len(rows) == 1:
+        return rows[0]
     u = rng.random()
     acc = 0.0
-    for outcome in outcomes:
-        acc += probability(outcome)
+    for row in rows:
+        acc += row[0]
         if u < acc:
-            return outcome
-    return outcomes[-1]
+            return row
+    return rows[-1]
 
 
 class TabularEnv:
@@ -211,7 +200,9 @@ class TabularEnv:
         self.episode_done = False
 
     def reset(self, rng: RngStream) -> int:
-        self.current_state = sample_initial_state(self.table, rng)
+        """Draw an initial state; a single-point distribution skips the rng."""
+        pairs = [(p, s) for s, p in sorted(self.table.initial_distribution.items())]
+        self.current_state = _inverse_cdf(pairs, rng)[1]
         self.episode_done = False
         return self.current_state
 
@@ -244,13 +235,8 @@ def serialize(table: TransitionTable) -> str:
     }
     if table.layout is not None:
         doc["layout"] = {"rows": table.layout[0], "width": table.layout[1]}
-    rows = list(zip(table.probability.tolist(), table.next_state.tolist(),
-                    table.reward.tolist(), table.done.tolist()))
-    starts = table.starts.tolist()
-    pairs = [rows[i:j] for i, j in zip(starts, starts[1:])]
-    n = table.n_actions
-    doc["P"] = {str(s): {str(a): pairs[s * n + a] for a in range(n)}
-                for s in range(table.n_states)}
+    doc["P"] = {str(s): {str(a): rows for a, rows in enumerate(actions)}
+                for s, actions in enumerate(table.outcomes)}
     return json.dumps(doc, indent=1)
 
 

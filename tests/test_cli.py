@@ -510,6 +510,23 @@ class TestTableKeysAndCounts:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def trace_argv(tmp_path: Path, command: str, content: bytes) -> list[str]:
+    """Write content as the one trace beside a frozen-lake table, and
+    return the argv that runs command over it."""
+    table = tmp_path / "out" / "table.json"
+    (tmp_path / "out" / "traces").mkdir(parents=True, exist_ok=True)
+    table.write_text(serialize(make_frozen_lake(slippery=False)))
+    trace = tmp_path / "out" / "traces" / "episode_00000.csv"
+    trace.write_bytes(content)
+    manifest = write_manifest(tmp_path, {"environment": {"kind": "frozen-lake"},
+                                         "out_dir": "out", "emit": {"plots": True}})
+    return {"render": ["render", "--trace", str(trace), "--table", str(table)],
+            "export-metrics": ["export-metrics", "--manifest", str(manifest)]}[command]
+
+
+TRACE_HEADER = b"step,state,action,reward,next_state,done\n"
+
+
 class TestMalformedTrace:
     @pytest.mark.parametrize("command", ["render", "export-metrics"])
     @pytest.mark.parametrize("row", [
@@ -518,17 +535,8 @@ class TestMalformedTrace:
         "2,4,1,0.0,8,maybe",
     ], ids=["non-integer", "short-row", "done-maybe"])
     def test_bad_trace_row_exit_2(self, tmp_path, capsys, command, row):
-        table = tmp_path / "out" / "table.json"
-        (tmp_path / "out" / "traces").mkdir(parents=True)
-        table.write_text(serialize(make_frozen_lake(slippery=False)))
-        trace = tmp_path / "out" / "traces" / "episode_00000.csv"
-        trace.write_text("step,state,action,reward,next_state,done\n"
-                         f"1,0,1,0.0,4,false\n{row}\n")
-        manifest = write_manifest(tmp_path, {"environment": {"kind": "frozen-lake"},
-                                             "out_dir": "out"})
-        argv = {"render": ["render", "--trace", str(trace), "--table", str(table)],
-                "export-metrics": ["export-metrics", "--manifest", str(manifest)]}
-        assert main(argv[command]) == 2
+        content = TRACE_HEADER + f"1,0,1,0.0,4,false\n{row}\n".encode()
+        assert main(trace_argv(tmp_path, command, content)) == 2
         assert "row 3: not a trace row" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["render", "export-metrics"])
@@ -537,32 +545,36 @@ class TestMalformedTrace:
         (b"2,4,1,0.0,8,f\xffalse", "episode_00000.csv: not UTF-8 text"),
     ], ids=["oversized-field", "non-utf8-byte"])
     def test_unreadable_trace_exit_2(self, tmp_path, capsys, command, row, message):
-        table = tmp_path / "out" / "table.json"
-        (tmp_path / "out" / "traces").mkdir(parents=True)
-        table.write_text(serialize(make_frozen_lake(slippery=False)))
-        trace = tmp_path / "out" / "traces" / "episode_00000.csv"
-        trace.write_bytes(b"step,state,action,reward,next_state,done\n"
-                          b"1,0,1,0.0,4,false\n" + row + b"\n")
-        manifest = write_manifest(tmp_path, {"environment": {"kind": "frozen-lake"},
-                                             "out_dir": "out"})
-        argv = {"render": ["render", "--trace", str(trace), "--table", str(table)],
-                "export-metrics": ["export-metrics", "--manifest", str(manifest)]}
-        assert main(argv[command]) == 2
+        content = TRACE_HEADER + b"1,0,1,0.0,4,false\n" + row + b"\n"
+        assert main(trace_argv(tmp_path, command, content)) == 2
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["render", "export-metrics"])
     def test_header_only_trace_exit_2(self, tmp_path, capsys, command):
-        table = tmp_path / "out" / "table.json"
-        (tmp_path / "out" / "traces").mkdir(parents=True)
-        table.write_text(serialize(make_frozen_lake(slippery=False)))
-        trace = tmp_path / "out" / "traces" / "episode_00000.csv"
-        trace.write_text("step,state,action,reward,next_state,done\n")
-        manifest = write_manifest(tmp_path, {"environment": {"kind": "frozen-lake"},
-                                             "out_dir": "out"})
-        argv = {"render": ["render", "--trace", str(trace), "--table", str(table)],
-                "export-metrics": ["export-metrics", "--manifest", str(manifest)]}
-        assert main(argv[command]) == 2
+        assert main(trace_argv(tmp_path, command, TRACE_HEADER)) == 2
         assert "episode_00000.csv: trace has no steps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["render", "export-metrics"])
+    @pytest.mark.parametrize("content, message", [
+        (b"step,state,action,reward,next,done\n1,0,1,0.0,4,false\n",
+         "episode_00000.csv: header 'step,state,action,reward,next,done' does not match"),
+        (b"", "episode_00000.csv: file is empty"),
+    ], ids=["wrong-header", "empty-file"])
+    def test_bad_header_exit_2(self, tmp_path, capsys, command, content, message):
+        assert main(trace_argv(tmp_path, command, content)) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["render", "export-metrics"])
+    def test_crlf_trace_reads_as_lf(self, tmp_path, capsys, command):
+        lf = TRACE_HEADER + b"1,0,2,0.0,1,false\n2,1,2,0.5,2,false\n3,2,1,1.0,6,true\n"
+        names = ["mean_cumulative.csv", "episodic.csv", "mean_cumulative.svg",
+                 "episodic.svg"] if command == "export-metrics" else []
+        outputs = []
+        for content in (lf, lf.replace(b"\n", b"\r\n")):
+            assert main(trace_argv(tmp_path, command, content)) == 0
+            outputs.append([capsys.readouterr().out,
+                            *[(tmp_path / "out" / name).read_bytes() for name in names]])
+        assert outputs[0] == outputs[1]
 
 
 class TestPipelineClosure:
@@ -600,6 +612,19 @@ class TestConsoleEntryPoint:
         )
         assert proc.returncode == 0
         assert "promo-gym" in proc.stdout
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        # numpy.random loads when the first RngStream is made, not at import
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, numpy; before = 'numpy.random' in sys.modules; "
+             "import promo_gym.cli; print(before, 'numpy.random' in sys.modules)"],
+            capture_output=True, text=True, check=True,
+        )
+        before, after = proc.stdout.split()
+        if before == "True":
+            pytest.skip("this numpy loads numpy.random on import")
+        assert after == "False"
 
     def test_unknown_command_exits_2(self):
         proc = subprocess.run(

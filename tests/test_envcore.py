@@ -2,8 +2,7 @@ import dataclasses
 
 import pytest
 
-from promo_gym.envcore import RngStream, format_grid
-from promo_gym.errors import NoLayout
+from promo_gym.envcore import RngStream
 from promo_gym.promoenv import build_promo_mdp, reference_grid_spec
 from promo_gym.tables import TabularEnv, TransitionEntry
 
@@ -41,6 +40,13 @@ class TestRngStream:
         with pytest.raises(ValueError):
             RngStream(2**64)
         RngStream(2**64 - 1)  # max unsigned 64-bit is fine
+
+    @pytest.mark.parametrize("value", [2.7, 3.0, "3", None])
+    def test_non_integer_seed_or_key_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            RngStream(value)
+        with pytest.raises(TypeError):
+            RngStream(1).substream(0, value)
 
     def test_algorithm_label_pinned(self):
         assert RngStream.ALGORITHM == "pcg64-seedseq-v1"
@@ -94,21 +100,3 @@ class TestDeterminism:
             if out.done:
                 env.reset(rng)
 
-
-class TestRender:
-    def test_frozen_lake_start_marker(self, lake_table):
-        start = TabularEnv(lake_table).reset(RngStream(0))
-        lines = format_grid(*lake_table.layout, start).splitlines()
-        assert len(lines) == 4
-        assert all(len(line) == 4 for line in lines)
-        assert lines[0][0] == "@"
-
-    def test_promo_marker_row3_col5(self, reference_table):
-        start = TabularEnv(reference_table).reset(RngStream(0))  # starts at 35
-        lines = format_grid(*reference_table.layout, start).splitlines()
-        assert lines[3][5] == "@"
-        assert len(lines) == 5 and all(len(line) == 10 for line in lines)
-
-    def test_no_layout_errors(self):
-        with pytest.raises(NoLayout):
-            format_grid(0, 0, None)

@@ -1,8 +1,10 @@
 import pytest
 
-from promo_gym.errors import StateOutOfRange
+from promo_gym.envcore import RngStream
+from promo_gym.errors import NoLayout, StateOutOfRange
 from promo_gym.learner import EpisodeTrace, TraceStep
 from promo_gym.rendering import render_trace
+from promo_gym.tables import TabularEnv, TransitionTable
 
 
 def one_step_trace(state, action, reward, next_state, done) -> EpisodeTrace:
@@ -58,3 +60,35 @@ class TestRenderTrace:
         lines = text.splitlines()
         assert lines[0].startswith("0   1   2   3")
         assert "step 1: 2 " in text
+
+
+def start_cells(table) -> list[str]:
+    """The cells of the start frame of a one-step trace from the state
+    reset draws: every 4th character of each grid line."""
+    start = TabularEnv(table).reset(RngStream(0))
+    rows = table.layout[0]
+    frame = render_trace(one_step_trace(start, 0, 0, start, False), table).splitlines()
+    lines = frame[2:2 + rows]
+    assert all(set(line[1::4] + line[2::4] + line[3::4]) <= {" "} for line in lines)
+    return [line[::4] for line in lines]
+
+
+class TestRenderGrid:
+    def test_frozen_lake_start_marker(self, lake_table):
+        cells = start_cells(lake_table)
+        assert len(cells) == 4
+        assert all(len(row) == 4 for row in cells)
+        assert cells[0][0] == "@"
+
+    def test_promo_marker_row3_col5(self, reference_table):
+        cells = start_cells(reference_table)  # starts at 35
+        assert cells[3][5] == "@"
+        assert len(cells) == 5 and all(len(row) == 10 for row in cells)
+
+    @pytest.mark.parametrize("layout", [None, (0, 0), (0, 1), (1, 0)],
+                             ids=["none", "0x0", "0x1", "1x0"])
+    def test_no_layout_errors(self, layout):
+        table = TransitionTable.compile(1, 1, [[[(1.0, 0, 0.0, True)]]], {0: 1.0},
+                                        layout)
+        with pytest.raises(NoLayout):
+            render_trace(one_step_trace(0, 0, 0, 0, True), table)

@@ -89,11 +89,12 @@ def test_bad_index_raises_as_substream_does(start):
         list(root.substreams(1, start))
 
 
-def test_non_integer_index_is_truncated_as_substream_does():
+def test_non_integer_index_raises_type_error():
     root = RngStream(9).substream(0)
-    (stream,) = root.substreams(1, 2.7)
-    assert stream.key == root.substream(2.7).key == (0, 2)
-    assert first_draws(stream) == first_draws(root.substream(2))
+    with pytest.raises(TypeError):
+        root.substream(2.7)
+    with pytest.raises(TypeError):
+        list(root.substreams(1, 2.7))
     with pytest.raises(TypeError):
         list(root.substreams(1.5))
 

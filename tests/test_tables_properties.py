@@ -1,20 +1,23 @@
 """Properties of transition tables, checked through `table.json` text: built
-tables validate clean and serialize back to the same bytes; the
-value-iteration solution is a fixed point of the Bellman backup; a fault
-injected into the text is reported by validate at its state, action and
-entry; mutated text only ever raises PromoGymError."""
+tables validate clean and serialize back to the same bytes, which are the
+document nested from the columns; sampling picks the row the columns'
+inverse CDF picks; the value-iteration solution is a fixed point of the
+Bellman backup; a fault injected into the text is reported by validate at
+its state, action and entry; mutated text only ever raises PromoGymError."""
 
 import json
 import math
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from promo_gym.envcore import RngStream
 from promo_gym.errors import PromoGymError
 from promo_gym.frozen_lake import make_frozen_lake
 from promo_gym.promoenv import GRID_WIDTH, PromoGridSpec, build_promo_mdp
 from promo_gym.solve import value_iteration
-from promo_gym.tables import deserialize, serialize, validate
+from promo_gym.tables import deserialize, serialize, step_sample, validate
 
 LAKES = [serialize(make_frozen_lake(slippery)) for slippery in (False, True)]
 
@@ -54,6 +57,71 @@ def test_built_tables_validate_clean_and_round_trip_byte_for_byte(text):
     table = deserialize(text)
     assert validate(table) == []
     assert serialize(table) == text
+
+
+def column_document(table) -> str:
+    """table.json text nested straight from the columns: each pair's rows
+    are the slice starts[k]:starts[k + 1] of the zipped columns."""
+    doc = {
+        "n_states": table.n_states,
+        "n_actions": table.n_actions,
+        "initial_distribution": {
+            str(s): float(p) for s, p in sorted(table.initial_distribution.items())
+        },
+    }
+    if table.layout is not None:
+        doc["layout"] = {"rows": table.layout[0], "width": table.layout[1]}
+    rows = list(zip(table.probability.tolist(), table.next_state.tolist(),
+                    table.reward.tolist(), table.done.tolist()))
+    starts = table.starts.tolist()
+    n = table.n_actions
+    doc["P"] = {str(s): {str(a): rows[starts[s * n + a]:starts[s * n + a + 1]]
+                         for a in range(n)}
+                for s in range(table.n_states)}
+    return json.dumps(doc, indent=1)
+
+
+@settings(deadline=None)
+@given(text=table_texts)
+def test_serialize_writes_the_document_nested_from_the_columns(text):
+    table = deserialize(text)
+    assert serialize(table) == column_document(table)
+
+
+class CountingStream:
+    """An RngStream that counts its uniform draws."""
+
+    def __init__(self, seed: int):
+        self.stream = RngStream(seed)
+        self.draws = 0
+
+    def random(self) -> float:
+        self.draws += 1
+        return self.stream.random()
+
+
+@settings(deadline=None)
+@given(text=table_texts, seed=st.integers(0, 2**64 - 1))
+def test_step_sample_picks_the_row_of_the_columns_inverse_cdf(text, seed):
+    table = deserialize(text)
+    rng, reference = CountingStream(seed), RngStream(seed)
+    starts = table.starts.tolist()
+    for k in range(len(starts) - 1):
+        first, stop = starts[k], starts[k + 1]
+        before = rng.draws
+        outcome = step_sample(table, *divmod(k, table.n_actions), rng)
+        if stop - first == 1:
+            assert rng.draws == before
+            row = first
+        else:
+            assert rng.draws == before + 1
+            u = reference.random()
+            cdf = np.cumsum(table.probability[first:stop])
+            hits = np.flatnonzero(u < cdf)
+            row = first + int(hits[0]) if len(hits) else stop - 1
+        assert (outcome.probability, outcome.next_state, outcome.reward,
+                outcome.done) == (table.probability[row], table.next_state[row],
+                                  table.reward[row], table.done[row])
 
 
 @settings(deadline=None)
