@@ -1,6 +1,6 @@
 """promo-gym: tabular Q-learning toolkit and retail promo-forecasting simulator."""
 
-from .binning import BinningModel, WeeklyProfile, assign_bin, fit_bins, weekly_profile
+from .binning import BinningModel, assign_bin, fit_bins
 from .envcore import RngStream
 from .frozen_lake import make_frozen_lake
 from .ingest import (

@@ -31,7 +31,6 @@ class BinningModel:
     boundaries: tuple[int, int, int, int]
     fitted_on: int
     degenerate: bool = False
-    k: int = N_BINS
 
 
 def fit_bins(units: list[int]) -> BinningModel:
@@ -75,61 +74,13 @@ def assign_bin(model: BinningModel, units: int) -> int:
     return N_BINS - 1
 
 
-# --- day-of-week profile -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProfileCell:
-    count: int
-    total_units: int
-    median_units: int | None  # lower median; None for empty cells
-
-
-@dataclass(frozen=True)
-class WeeklyProfile:
-    """7 x 5 grid of per-(day-of-week, bin) sales summaries.
-
-    days carries the per-day rollup (count, total, median across all
-    bins); day d's total is days[d].total_units.
-    """
-
-    cells: tuple[tuple[ProfileCell, ...], ...]  # [day][bin]
-    days: tuple[ProfileCell, ...]               # [day]
-
-
-def _summarize(values: list[int]) -> ProfileCell:
-    ordered = sorted(values)
-    median = ordered[(len(ordered) - 1) // 2] if ordered else None
-    return ProfileCell(len(ordered), sum(ordered), median)
-
-
-def weekly_profile(series, model: BinningModel) -> WeeklyProfile:
-    """Summarize a daily series per (day of week, sales bin).
-
-    Medians use the lower-median convention on even counts, matching
-    fit_bins' integer-exact arithmetic.
-    """
-    buckets: list[list[list[int]]] = [[[] for _ in range(N_BINS)] for _ in range(7)]
-    for rec in series:
-        buckets[rec.day_of_week][assign_bin(model, rec.units_sold)].append(
-            rec.units_sold
-        )
-
-    cells = []
-    days = []
-    for day in range(7):
-        cells.append(tuple(_summarize(buckets[day][b]) for b in range(N_BINS)))
-        days.append(_summarize([u for b in range(N_BINS) for u in buckets[day][b]]))
-    return WeeklyProfile(cells=tuple(cells), days=tuple(days))
-
-
 # --- model document format ---------------------------------------------------
 
 
 def model_to_json(model: BinningModel) -> str:
     return json.dumps(
         {
-            "k": model.k,
+            "k": N_BINS,
             "boundaries": list(model.boundaries),
             "fitted_on": model.fitted_on,
             "degenerate": model.degenerate,
@@ -147,9 +98,9 @@ def model_from_json(text: str) -> BinningModel:
                          for b in jsondoc.array(doc["boundaries"], f"{what}: boundaries")),
         fitted_on=jsondoc.integer(doc["fitted_on"], f"{what}: fitted_on"),
         degenerate=jsondoc.boolean(doc.get("degenerate", False), f"{what}: degenerate"),
-        k=jsondoc.integer(doc.get("k", N_BINS), f"{what}: k"),
     )
-    if len(model.boundaries) != N_BINS - 1 or model.k != N_BINS:
+    k = jsondoc.integer(doc.get("k", N_BINS), f"{what}: k")
+    if len(model.boundaries) != N_BINS - 1 or k != N_BINS:
         raise SchemaError("binning model must carry 4 boundaries for 5 bins")
     if any(b >= c for b, c in zip(model.boundaries, model.boundaries[1:])):
         raise SchemaError("binning boundaries must be strictly increasing")

@@ -17,7 +17,7 @@ class InvalidAction(PromoGymError):
 
 
 class InvalidState(PromoGymError):
-    """State index outside the environment's state space."""
+    """State index outside the table: a step's or a trace's."""
 
 
 class SteppedAfterDone(PromoGymError):
@@ -77,10 +77,6 @@ class NonFinite(PromoGymError):
 
 class DimensionMismatch(PromoGymError):
     """Q-table and environment dimensions disagree."""
-
-
-class StateOutOfRange(PromoGymError):
-    """A trace references a state the table does not contain."""
 
 
 class EmptyInput(PromoGymError):

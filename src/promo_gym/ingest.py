@@ -4,9 +4,8 @@ Each CSV schema is stated once, as a record NamedTuple below: its field
 names in order are the exact header, and each field's type picks how a
 cell is parsed and written (UTF-8, ISO-8601 dates, LF or CRLF on read).
 
-Parsing is strict by default: the first bad row aborts with its row
-number. Lenient mode skips bad rows and reports them as diagnostics.
-unify() folds everything into one dense daily series per
+Parsing is strict: the first bad row raises RowError with its row
+number. unify() folds everything into one dense daily series per
 store-product, zero-filling gaps inside each pair's observed span.
 """
 
@@ -202,27 +201,19 @@ def _source_name(source: str | Path | TextIO) -> str:
     return getattr(source, "name", "<stream>")
 
 
-def _read(source: str | Path | TextIO, cls, strict: bool = True,
-          diagnostics: list[str] | None = None, check=None) -> list:
+def _read(source: str | Path | TextIO, cls, check=None) -> list:
     """Parse a CSV of cls's schema into records; check(record, row_num) may
     raise RowError for a rule that spans fields."""
     header, parsers, _ = _schema(cls)
     records = []
     for row_num, row in _open_rows(source, header):
-        try:
-            if len(row) != len(header):
-                raise RowError(f"expected {len(header)} fields, got {len(row)}",
-                               row_num)
-            record = cls(*[parse(text, row_num, name)
-                           for (name, parse), text in zip(parsers, row)])
-            if check is not None:
-                check(record, row_num)
-            records.append(record)
-        except RowError as exc:
-            if strict:
-                raise
-            if diagnostics is not None:
-                diagnostics.append(str(exc))
+        if len(row) != len(header):
+            raise RowError(f"expected {len(header)} fields, got {len(row)}", row_num)
+        record = cls(*[parse(text, row_num, name)
+                       for (name, parse), text in zip(parsers, row)])
+        if check is not None:
+            check(record, row_num)
+        records.append(record)
     return records
 
 
@@ -293,17 +284,15 @@ def _transaction_kind(kind: str):
 # --- public parsers ----------------------------------------------------------
 
 
-def parse_promo_plan(source: str | Path | TextIO, strict: bool = True,
-                     diagnostics: list[str] | None = None) -> list[PromoPlanRecord]:
+def parse_promo_plan(source: str | Path | TextIO) -> list[PromoPlanRecord]:
     """Parse the promotion-plan schema; validates start <= end per row."""
-    return _read(source, PromoPlanRecord, strict, diagnostics, _check_promo_dates)
+    return _read(source, PromoPlanRecord, _check_promo_dates)
 
 
-def parse_transactions(source: str | Path | TextIO, kind: str, strict: bool = True,
-                       diagnostics: list[str] | None = None):
+def parse_transactions(source: str | Path | TextIO, kind: str):
     """Parse transactions of the given kind: 'online' or 'rx'."""
     cls, check = _transaction_kind(kind)
-    return _read(source, cls, strict, diagnostics, check)
+    return _read(source, cls, check)
 
 
 def parse_zip_store_map(source: str | Path | TextIO) -> dict[str, str]:
@@ -311,11 +300,10 @@ def parse_zip_store_map(source: str | Path | TextIO) -> dict[str, str]:
     return {rec.zip: rec.store_id for rec in _read(source, ZipStoreRecord)}
 
 
-def parse_holidays(source: str | Path | TextIO, strict: bool = True,
-                   diagnostics: list[str] | None = None) -> dict[date, tuple[bool, bool]]:
+def parse_holidays(source: str | Path | TextIO) -> dict[date, tuple[bool, bool]]:
     """Parse the holiday calendar into date -> (state_holiday, school_holiday)."""
     return {rec.date: (rec.state_holiday, rec.school_holiday)
-            for rec in _read(source, HolidayRecord, strict, diagnostics)}
+            for rec in _read(source, HolidayRecord)}
 
 
 # --- unification -------------------------------------------------------------
@@ -329,7 +317,7 @@ def unify(online: list[OnlineTxnRecord], rx: list[RxTxnRecord],
     Online rows carry no store: they join through the optional
     zip -> store mapping, or aggregate under the virtual ONLINE store.
     Dates missing inside a pair's observed span are zero-filled so
-    downstream profiles and grids see a dense series. Holiday flags come
+    downstream binning and grids see a dense series. Holiday flags come
     from the calendar; a series date outside the calendar's span raises
     CalendarGap. Output is sorted by (store, product, date).
     """

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from datetime import date, timedelta
 
 from . import jsondoc
-from .binning import BinningModel, assign_bin
+from .binning import N_BINS, BinningModel, assign_bin
 from .errors import NoPromoInHorizon, SchemaError, SpecError
 from .ingest import DailySalesRecord, PromoPlanRecord
 from .tables import TransitionTable
@@ -214,8 +214,8 @@ def derive_spec_from_data(series: list[DailySalesRecord], bins: BinningModel,
 
     start_row = _trailing_median_bin(series, bins, monday)
     return PromoGridSpec(
-        rows=bins.k,
-        avail={r: avail_cols for r in range(bins.k)},
+        rows=N_BINS,
+        avail={r: avail_cols for r in range(N_BINS)},
         goals=frozenset(goals),
         initial_states=frozenset({(start_row, 0)}),
     )

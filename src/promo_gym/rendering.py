@@ -9,7 +9,7 @@ positive reward is the successful forecast and gets flagged.
 
 from __future__ import annotations
 
-from .errors import NoLayout, StateOutOfRange
+from .errors import InvalidState, NoLayout
 from .learner import EpisodeTrace
 from .promoenv import ACTION_NAMES, GRID_WIDTH, N_ACTIONS
 from .tables import TransitionTable
@@ -69,6 +69,6 @@ def _frame(rows: int, width: int, mark: int, goals: set[int]) -> str:
 
 def _check_state(state: int, table: TransitionTable) -> None:
     if not (0 <= state < table.n_states):
-        raise StateOutOfRange(
+        raise InvalidState(
             f"trace references state {state}, table has 0..{table.n_states - 1}"
         )

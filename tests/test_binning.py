@@ -9,11 +9,8 @@ from promo_gym.binning import (
     fit_bins,
     model_from_json,
     model_to_json,
-    weekly_profile,
 )
 from promo_gym.errors import EmptySeries, SchemaError
-from promo_gym.ingest import DailySalesRecord
-from datetime import date, timedelta
 
 
 def nearest_rank_percentile(values: list[int], p: int) -> int:
@@ -109,77 +106,6 @@ class TestAssignBin:
             counts[assign_bin(model, u)] += 1
         for c in counts:
             assert 0.10 * len(values) <= c <= 0.30 * len(values)
-
-
-def make_series(day_units: dict[date, int], promo_days=frozenset()):
-    return [
-        DailySalesRecord(
-            store_id="S01",
-            product_id="P1",
-            date=d,
-            day_of_week=d.weekday(),
-            units_sold=u,
-            promo_active=d in promo_days,
-            state_holiday=False,
-            school_holiday=False,
-        )
-        for d, u in sorted(day_units.items())
-    ]
-
-
-class TestWeeklyProfile:
-    def test_all_sales_on_monday(self):
-        mondays = {date(2015, 6, 1) + timedelta(weeks=k): 10 + k for k in range(4)}
-        series = make_series(mondays)
-        model = fit_bins([r.units_sold for r in series])
-        profile = weekly_profile(series, model)
-        assert profile.days[0].total_units == sum(mondays.values())
-        for day in range(1, 7):
-            assert profile.days[day].count == 0
-            assert profile.days[day].median_units is None
-
-    def test_lower_median_on_even_count(self):
-        series = make_series({
-            date(2015, 6, 1): 2,   # Monday
-            date(2015, 6, 8): 4,   # Monday
-        })
-        model = fit_bins([2, 4])
-        profile = weekly_profile(series, model)
-        assert profile.days[0].median_units == 2
-
-    def test_promo_days_double_units_raise_promo_median(self):
-        # Fridays carry a promo and double the base volume
-        day_units = {}
-        promo_days = set()
-        start = date(2015, 6, 1)
-        for offset in range(28):
-            d = start + timedelta(days=offset)
-            base = 10 + d.weekday()
-            if d.weekday() == 4:
-                day_units[d] = base * 2
-                promo_days.add(d)
-            else:
-                day_units[d] = base
-        series = make_series(day_units, frozenset(promo_days))
-
-        def lower_median(values):
-            ordered = sorted(values)
-            return ordered[(len(ordered) - 1) // 2]
-
-        promo_median = lower_median(
-            [r.units_sold for r in series if r.promo_active]
-        )
-        other_median = lower_median(
-            [r.units_sold for r in series if not r.promo_active]
-        )
-        assert promo_median > other_median
-
-        model = fit_bins([r.units_sold for r in series])
-        profile = weekly_profile(series, model)
-        assert profile.days[4].median_units == promo_median
-        assert profile.days[4].total_units == max(
-            profile.days[d].total_units for d in range(7)
-        )
 
 
 class TestModelDocument:

@@ -13,6 +13,12 @@ import json
 from promo_gym.cli import main
 
 GOLDEN = {
+    "daily_series.csv":
+        "77a87fd566929e127a4b46692921e97485da61a2430218bac9e8055263d3fb7e",
+    "binning_model.json":
+        "9507dcdfa76514d64bac1736fbf02e549f8e54ed348905c2d195675dbb5c2075",
+    "grid_spec.json":
+        "8513989fb50651a19f741152a6eb53af66e859e45bfc36fca0f4781bb2e280bb",
     "table.json":
         "d12fdb1ae1bec7b26f68be5095b783f38fd03edf0cc61d66259d1ba31e21d898",
     "q_table.json":
@@ -30,6 +36,8 @@ GOLDEN = {
     "render":
         "dc126618e34e8db1b8b45958e4bfee4a578677be4842a5b30c957f294258bc1e",
 }
+INGEST_BUILD_OUTPUTS = ("daily_series.csv", "binning_model.json", "grid_spec.json",
+                        "table.json")
 TRAIN_OUTPUTS = ("q_table.json", "mean_cumulative.csv", "episodic.csv",
                  "mean_cumulative.svg", "episodic.svg")
 
@@ -55,7 +63,8 @@ def test_fixture_pipeline_bytes(fixtures_dir, tmp_path, capsys):
         if argv == ["train"]:
             got.update({name: _sha256((out / name).read_bytes())
                         for name in TRAIN_OUTPUTS})
-    got["table.json"] = _sha256((out / "table.json").read_bytes())
+    got.update({name: _sha256((out / name).read_bytes())
+                for name in INGEST_BUILD_OUTPUTS})
     got["eval_report.json"] = _sha256((out / "eval_report.json").read_bytes())
 
     assert main(["export-metrics", "--manifest", str(manifest)]) == 0

@@ -69,17 +69,13 @@ class TestPromoPlanParsing:
         with pytest.raises(HeaderMismatch):
             parse_promo_plan(io.StringIO("promo_code,oops\nx,y\n"))
 
-    def test_lenient_mode_collects_diagnostics(self):
+    def test_first_bad_row_raises_with_its_number(self):
         bad = PROMO_ROW.replace("2015-06-01", "junk")
         text = f"{PROMO_HEADER}\n{PROMO_ROW}\n{bad}\n{PROMO_ROW}\n"
-        with pytest.raises(RowError):
+        with pytest.raises(RowError) as err:
             parse_promo_plan(io.StringIO(text))
-        diagnostics: list[str] = []
-        records = parse_promo_plan(io.StringIO(text), strict=False,
-                                   diagnostics=diagnostics)
-        assert len(records) == 2
-        assert len(diagnostics) == 1
-        assert "row 3" in diagnostics[0]
+        assert err.value.row == 3
+        assert str(err.value).startswith("row 3: ")
 
     def test_boolean_spellings(self):
         for raw, expected in (("Y", True), ("n", False), ("1", True),

@@ -1,7 +1,7 @@
 import pytest
 
 from promo_gym.envcore import RngStream
-from promo_gym.errors import NoLayout, StateOutOfRange
+from promo_gym.errors import InvalidState, NoLayout
 from promo_gym.learner import EpisodeTrace, TraceStep
 from promo_gym.rendering import render_trace
 from promo_gym.tables import TabularEnv, TransitionTable
@@ -52,7 +52,7 @@ class TestRenderTrace:
         assert first_grid[2][4 * 4] == "G"  # goal at row 2, col 4
 
     def test_state_out_of_range(self, reference_table):
-        with pytest.raises(StateOutOfRange):
+        with pytest.raises(InvalidState):
             render_trace(one_step_trace(99, 0, -1, 35, False), reference_table)
 
     def test_non_promo_table_uses_numeric_labels(self, lake_table):
