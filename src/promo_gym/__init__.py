@@ -30,7 +30,6 @@ from .promoenv import (
     PromoGridSpec,
     build_promo_mdp,
     derive_spec_from_data,
-    reference_grid_spec,
 )
 from .solve import ValueSolution, value_iteration
 from .tables import (

@@ -1,18 +1,20 @@
 """promo-gym command line: ingest -> build -> train -> eval, plus render
-and export-metrics. Every run is pinned by a manifest and a seed; exit
-codes are 0 success, 2 bad input or config, 1 internal error.
+and export-metrics. The manifest alone sets a run: its inputs, environment,
+learner (seed and episode count included) and emitted files. The command
+line adds only where outputs go (--out) and how many episodes eval replays
+(eval --episodes). Exit codes are 0 success, 2 bad input or config, 1
+internal error.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from . import binning, ingest, jsondoc, metrics, promoenv, rendering, tables
-from .errors import EmptyInput, PromoGymError, SchemaError
+from .errors import ConfigError, EmptyInput, PromoGymError, SchemaError
 from .frozen_lake import make_frozen_lake
 from .learner import QTable, evaluate_greedy, qtable_from_json, qtable_to_json, train
 from .manifest import RunManifest, load_manifest
@@ -33,20 +35,10 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     with_manifest("ingest", "parse inputs into the unified daily series and bins")
+    with_manifest("build", "compile the environment's transition table")
+    with_manifest("train", "train the agent and emit metrics")
 
-    p = with_manifest("build", "compile the environment's transition table")
-    p.add_argument("--slippery", type=_parse_bool_flag, metavar="true|false",
-                   help="override frozen-lake slip mode")
-    p.add_argument("--allow-empty-promos", action="store_true",
-                   help="permit a promotion-free week (goals stay empty)")
-
-    p = with_manifest("train", "train the agent and emit metrics")
-    p.add_argument("--seed", type=int, help="override the learner seed")
-    p.add_argument("--episodes", type=int, help="override the episode count")
-
-    p = with_manifest("eval", "evaluate a trained q-table greedily")
-    p.add_argument("--q-table", help="q-table file (default: <out>/q_table.json)")
-    p.add_argument("--seed", type=int, help="override the evaluation seed")
+    p = with_manifest("eval", "evaluate <out>/q_table.json greedily")
     p.add_argument("--episodes", type=int, default=100,
                    help="evaluation episode count (default 100)")
 
@@ -56,15 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     with_manifest("export-metrics", "recompute metrics CSVs from saved traces")
     return parser
-
-
-def _parse_bool_flag(text: str) -> bool:
-    lowered = text.strip().casefold()
-    if lowered in {"true", "1", "yes"}:
-        return True
-    if lowered in {"false", "0", "no"}:
-        return False
-    raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -78,36 +61,17 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "ingest":
             return cmd_ingest(manifest)
         if args.command == "build":
-            if args.slippery is not None:
-                manifest.environment.slippery = args.slippery
-            if args.allow_empty_promos:
-                manifest.environment.allow_empty_promos = True
             return cmd_build(manifest)
         if args.command == "train":
-            _apply_learner_overrides(manifest, args)
             return cmd_train(manifest)
         if args.command == "eval":
-            _apply_learner_overrides(manifest, args)
-            q_path = Path(args.q_table) if args.q_table else (
-                manifest.out_dir / "q_table.json"
-            )
-            return cmd_eval(manifest, q_path, args.episodes)
+            return cmd_eval(manifest, args.episodes)
         if args.command == "export-metrics":
             return cmd_export_metrics(manifest)
         raise AssertionError(f"unhandled command {args.command}")
     except PromoGymError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _apply_learner_overrides(manifest: RunManifest, args) -> None:
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if args.command == "train" and args.episodes is not None:
-        overrides["episodes"] = args.episodes
-    if overrides:
-        manifest.learner = dataclasses.replace(manifest.learner, **overrides)
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -141,7 +105,7 @@ def cmd_ingest(manifest: RunManifest) -> int:
     series = ingest.unify(online, rx, promos, holidays, zip_map)
     model = binning.fit_bins([rec.units_sold for rec in series])
 
-    out = _ensure_out(manifest)
+    out = _ensure_dir(manifest.out_dir)
     series_path = out / "daily_series.csv"
     model_path = out / "binning_model.json"
     ingest.write_daily_series(series_path, series)
@@ -155,7 +119,7 @@ def cmd_ingest(manifest: RunManifest) -> int:
 def cmd_build(manifest: RunManifest) -> int:
     """Build (or validate) the transition table and write it to out/."""
     env_choice = manifest.environment
-    out = _ensure_out(manifest)
+    out = _ensure_dir(manifest.out_dir)
 
     if env_choice.kind == "table":
         table = _load_run_table(manifest)
@@ -200,6 +164,10 @@ def _resolve_grid_spec(manifest: RunManifest) -> promoenv.PromoGridSpec:
 def cmd_train(manifest: RunManifest) -> int:
     """Train per the manifest's learner config; emit q-table and metrics."""
     table = _load_run_table(manifest)
+    # an earlier run's trace files would join this run's in export-metrics
+    trace_dir = manifest.out_dir / "traces"
+    for stale in trace_dir.glob("episode_*.csv"):
+        stale.unlink()
     env = TabularEnv(table)
     q = QTable(table.n_states, table.n_actions)
     traces = train(env, manifest.learner, q)
@@ -207,7 +175,7 @@ def cmd_train(manifest: RunManifest) -> int:
         traces = list(traces)  # the trace files are written after training
     series = metrics.compute_metrics(traces)
 
-    out = _ensure_out(manifest)
+    out = _ensure_dir(manifest.out_dir)
     q_path = out / "q_table.json"
     _write_text(q_path, qtable_to_json(q))
     print(f"trained {manifest.learner.episodes} episodes "
@@ -216,8 +184,7 @@ def cmd_train(manifest: RunManifest) -> int:
     if manifest.emit.metrics:
         print(f"metrics -> {out / 'mean_cumulative.csv'}, {out / 'episodic.csv'}")
     if manifest.emit.traces:
-        trace_dir = out / "traces"
-        trace_dir.mkdir(parents=True, exist_ok=True)
+        _ensure_dir(trace_dir)
         for i, trace in enumerate(traces):
             metrics.write_trace_csv(trace_dir / f"episode_{i:05d}.csv", trace)
         print(f"traces -> {trace_dir} ({len(traces)} files)")
@@ -232,19 +199,20 @@ def cmd_train(manifest: RunManifest) -> int:
     return 0
 
 
-def cmd_eval(manifest: RunManifest, q_path: Path, episodes: int) -> int:
-    """Greedy evaluation of a trained q-table; writes eval_report.json."""
+def cmd_eval(manifest: RunManifest, episodes: int) -> int:
+    """Greedy evaluation of out/q_table.json; writes eval_report.json."""
     if episodes < 0:
         raise EmptyInput(f"episode count must be >= 0, got {episodes}")
     table = _load_run_table(manifest)
     env = TabularEnv(table)
+    q_path = manifest.out_dir / "q_table.json"
     if not q_path.exists():
         raise EmptyInput(f"q-table not found: {q_path} (run `promo-gym train`)")
     q = qtable_from_json(jsondoc.read(q_path))
     report = evaluate_greedy(env, q, episodes=episodes,
                              max_steps=manifest.learner.max_steps_per_episode,
                              seed=manifest.learner.seed)
-    out = _ensure_out(manifest)
+    out = _ensure_dir(manifest.out_dir)
     report_path = out / "eval_report.json"
     _write_text(report_path, json.dumps(report, indent=1))
     for key, value in report.items():
@@ -274,7 +242,7 @@ def cmd_export_metrics(manifest: RunManifest) -> int:
                          "emit.traces enabled first")
     series = metrics.compute_metrics(metrics.read_trace_csv(path)
                                      for path in trace_files)
-    out = _ensure_out(manifest)
+    out = _ensure_dir(manifest.out_dir)
     _write_metrics(out, series, True, manifest.emit.plots)
     print(f"metrics over {len(trace_files)} traces -> {out / 'mean_cumulative.csv'}, "
           f"{out / 'episodic.csv'}")
@@ -326,10 +294,13 @@ def _write_metrics(out: Path, series: metrics.MetricsSeries, csvs: bool,
         )
 
 
-def _ensure_out(manifest: RunManifest) -> Path:
-    out = Path(manifest.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _ensure_dir(path: Path) -> Path:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError(
+            f"output directory {path} is a file, or lies under one") from None
+    return path
 
 
 def _write_text(path: Path, text: str) -> None:

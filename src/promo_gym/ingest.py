@@ -162,10 +162,14 @@ def _schema(cls) -> tuple[list[str], list[tuple], list[tuple]]:
 
 def _open_rows(source: str | Path | TextIO, expected: list[str]):
     """Yield (row_number, row) pairs after checking the header row and
-    skipping all-blank rows; bytes csv cannot read raise ParseError."""
+    skipping all-blank rows; a directory, and bytes csv cannot read,
+    raise ParseError."""
     own = isinstance(source, (str, Path))
-    handle: TextIO = open(source, newline="", encoding="utf-8") if own else source
     name = _source_name(source)
+    try:
+        handle: TextIO = open(source, newline="", encoding="utf-8") if own else source
+    except IsADirectoryError:
+        raise ParseError(f"{name}: a directory, not a CSV file") from None
 
     def rows() -> Iterator[tuple[int, list[str]]]:
         reader = csv.reader(handle)

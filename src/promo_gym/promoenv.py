@@ -130,22 +130,6 @@ def build_promo_mdp(spec: PromoGridSpec) -> TransitionTable:
     )
 
 
-def reference_grid_spec() -> PromoGridSpec:
-    """The bundled demo layout used by the golden transition-row tests.
-
-    Five inventory rows, channels available on columns 0-5 plus
-    auxiliary column 8, a single goal at row 2 / Friday, episodes
-    starting at row 3 / Saturday.
-    """
-    avail = frozenset({0, 1, 2, 3, 4, 5, 8})
-    return PromoGridSpec(
-        rows=5,
-        avail={r: avail for r in range(5)},
-        goals=frozenset({(2, 4)}),
-        initial_states=frozenset({(3, 5)}),
-    )
-
-
 # --- data-driven spec derivation -------------------------------------------
 
 SEASONAL_HORIZON_DAYS = 27  # target week plus three weeks of lookahead

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from promo_gym.frozen_lake import make_frozen_lake
-from promo_gym.promoenv import build_promo_mdp, reference_grid_spec
+from promo_gym.promoenv import build_promo_mdp, spec_from_json
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SRC = FIXTURES.parent / "src"
@@ -26,9 +26,18 @@ def fixtures_dir() -> Path:
 
 
 @pytest.fixture(scope="session")
-def reference_table():
-    """The bundled demo promo MDP (5 rows x 10 columns, goal at (2, 4))."""
-    return build_promo_mdp(reference_grid_spec())
+def reference_spec():
+    """The bundled demo layout, read from fixtures/reference_grid_spec.json:
+    5 rows x 10 columns, channels on columns 0-5 and 8, one goal at
+    (2, 4), episodes starting at (3, 5)."""
+    text = (FIXTURES / "reference_grid_spec.json").read_text(encoding="utf-8")
+    return spec_from_json(text)
+
+
+@pytest.fixture(scope="session")
+def reference_table(reference_spec):
+    """The bundled demo promo MDP, built from reference_spec."""
+    return build_promo_mdp(reference_spec)
 
 
 @pytest.fixture(scope="session")

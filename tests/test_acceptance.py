@@ -32,7 +32,6 @@ from promo_gym.learner import (
     qtable_to_json,
     train,
 )
-from promo_gym.promoenv import build_promo_mdp, reference_grid_spec
 from promo_gym.solve import value_iteration
 from promo_gym.tables import TabularEnv, deserialize, serialize, validate
 
@@ -63,10 +62,9 @@ def _pass(criterion: int, message: str, started: float, budget: float) -> None:
     print(f"ACCEPTANCE PASS criterion {criterion}: {message} ({elapsed:.2f}s)")
 
 
-def test_criterion_1_golden_transition_rows():
+def test_criterion_1_golden_transition_rows(reference_table):
     started = time.monotonic()
-    table = build_promo_mdp(reference_grid_spec())
-    text = serialize(table)
+    text = serialize(reference_table)
     doc = json.loads(text)
     for state, actions in GOLDEN_BLOCKS.items():
         assert doc["P"][state] == actions
@@ -76,12 +74,13 @@ def test_criterion_1_golden_transition_rows():
           started, budget=1.0)
 
 
-def test_criterion_2_probability_normalization(fixtures_dir, tmp_path):
+def test_criterion_2_probability_normalization(fixtures_dir, tmp_path,
+                                               reference_table):
     started = time.monotonic()
     tables = [
         make_frozen_lake(slippery=False),
         make_frozen_lake(slippery=True),
-        build_promo_mdp(reference_grid_spec()),
+        reference_table,
     ]
     # plus the data-derived promo MDP from the bundled fixture
     out = str(tmp_path / "out")
@@ -154,9 +153,9 @@ def test_criterion_4_oracle_equivalence():
           started, budget=60.0)
 
 
-def test_criterion_5_forecast_dominance():
+def test_criterion_5_forecast_dominance(reference_table):
     started = time.monotonic()
-    table = build_promo_mdp(reference_grid_spec())
+    table = reference_table
     goal_states = {24}
     for gamma in (0.9, 0.99):
         sol = value_iteration(table, gamma=gamma)
@@ -224,11 +223,10 @@ def test_criterion_7_binning():
              "10,000 inputs match brute force", started, budget=5.0)
 
 
-def test_criterion_8_round_trips(fixtures_dir):
+def test_criterion_8_round_trips(fixtures_dir, reference_table):
     started = time.monotonic()
     # transition table
-    table = build_promo_mdp(reference_grid_spec())
-    text = serialize(table)
+    text = serialize(reference_table)
     assert serialize(deserialize(text)) == text
 
     # q-table

@@ -1,4 +1,6 @@
+import argparse
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -6,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from promo_gym.cli import main
+from promo_gym.cli import build_parser, main
 from promo_gym.frozen_lake import make_frozen_lake
 from promo_gym.ingest import read_daily_series
 from promo_gym.learner import QTable, qtable_to_json
@@ -164,15 +166,15 @@ class TestBuildCommand:
         assert table.n_states == 16 and table.n_actions == 4
 
     def test_slippery_override_changes_table(self, tmp_path):
-        manifest = write_manifest(tmp_path, {
-            "environment": {"kind": "frozen-lake", "slippery": False},
-            "out_dir": "out",
-        })
-        main(["build", "--manifest", str(manifest)])
-        plain = (tmp_path / "out" / "table.json").read_bytes()
-        main(["build", "--manifest", str(manifest), "--slippery", "true"])
-        slippery = (tmp_path / "out" / "table.json").read_bytes()
-        assert plain != slippery
+        tables = []
+        for slippery in (False, True):
+            manifest = write_manifest(tmp_path, {
+                "environment": {"kind": "frozen-lake", "slippery": slippery},
+                "out_dir": "out",
+            })
+            assert main(["build", "--manifest", str(manifest)]) == 0
+            tables.append((tmp_path / "out" / "table.json").read_bytes())
+        assert tables[0] != tables[1]
 
     def test_empty_avail_row_exit_2(self, tmp_path, capsys):
         bad_spec = tmp_path / "spec.json"
@@ -230,6 +232,13 @@ class TestBuildCommand:
         assert "ingest" in capsys.readouterr().err
 
 
+def set_fields(manifest: Path, section: str, **fields) -> None:
+    """Set fields of one section of the manifest file in place."""
+    doc = json.loads(manifest.read_text())
+    doc[section].update(fields)
+    manifest.write_text(json.dumps(doc, indent=1))
+
+
 @pytest.fixture()
 def built_run(tmp_path, fixtures_dir):
     """A tmp manifest with the reference table built and a short train config."""
@@ -256,7 +265,8 @@ class TestTrainCommand:
         assert first == second
 
     def test_zero_episodes_exit_2(self, built_run, capsys):
-        assert main(["train", "--manifest", str(built_run), "--episodes", "0"]) == 2
+        set_fields(built_run, "learner", episodes=0)
+        assert main(["train", "--manifest", str(built_run)]) == 2
         assert "episodes" in capsys.readouterr().err
 
     def test_metrics_files_written(self, built_run, tmp_path):
@@ -301,9 +311,25 @@ class TestTrainCommand:
             assert (tmp_path / "out" / name).read_bytes() == data
 
     def test_seed_beyond_64_bits_exit_2(self, built_run, capsys):
-        assert main(["train", "--manifest", str(built_run),
-                     "--seed", str(2**64)]) == 2
+        set_fields(built_run, "learner", seed=2**64)
+        assert main(["train", "--manifest", str(built_run)]) == 2
         assert "seed" in capsys.readouterr().err
+
+    def test_train_clears_earlier_traces(self, built_run, tmp_path):
+        """export-metrics reads only the traces of the last train."""
+        out = tmp_path / "out"
+        set_fields(built_run, "learner", episodes=300)
+        assert main(["train", "--manifest", str(built_run)]) == 0
+        set_fields(built_run, "learner", episodes=100)
+        assert main(["train", "--manifest", str(built_run)]) == 0
+        names = ("mean_cumulative.csv", "episodic.csv")
+        written = [(out / name).read_bytes() for name in names]
+        assert main(["export-metrics", "--manifest", str(built_run)]) == 0
+        assert [(out / name).read_bytes() for name in names] == written
+        assert len(list((out / "traces").glob("episode_*.csv"))) == 100
+        set_fields(built_run, "emit", traces=False)
+        assert main(["train", "--manifest", str(built_run)]) == 0
+        assert list((out / "traces").glob("episode_*.csv")) == []
 
     def test_invalid_table_file_rejected_by_every_reader(self, built_run, tmp_path,
                                                          capsys):
@@ -577,31 +603,105 @@ class TestMalformedTrace:
         assert outputs[0] == outputs[1]
 
 
+def short_fixture_manifest(tmp_path: Path, fixtures_dir: Path, name: str,
+                           episodes: int) -> str:
+    """A copy of a fixture manifest that trains for fewer episodes, with its
+    input paths made absolute."""
+    doc = json.loads((fixtures_dir / name).read_text())
+    doc["inputs"] = {key: str(fixtures_dir / value)
+                     for key, value in doc["inputs"].items()}
+    doc["learner"]["episodes"] = episodes
+    return str(write_manifest(tmp_path, doc))
+
+
 class TestPipelineClosure:
     def test_bundled_fixture_pipeline(self, tmp_path, fixtures_dir):
         out = str(tmp_path / "out")
-        manifest = str(fixtures_dir / "manifest.json")
+        manifest = short_fixture_manifest(tmp_path, fixtures_dir, "manifest.json", 400)
         assert main(["ingest", "--manifest", manifest, "--out", out]) == 0
         assert main(["build", "--manifest", manifest, "--out", out]) == 0
-        assert main(["train", "--manifest", manifest, "--out", out,
-                     "--episodes", "400"]) == 0
+        assert main(["train", "--manifest", manifest, "--out", out]) == 0
         assert main(["eval", "--manifest", manifest, "--out", out,
                      "--episodes", "25"]) == 0
         report = json.loads((tmp_path / "out" / "eval_report.json").read_text())
         assert report["episodes"] == 25
 
-
     def test_readme_trace_commands(self, tmp_path, fixtures_dir):
         """README's render and export-metrics, after training with the
         traces-on fixture manifest."""
         out = tmp_path / "out"
-        manifest = str(fixtures_dir / "manifest_traces.json")
+        manifest = short_fixture_manifest(tmp_path, fixtures_dir,
+                                          "manifest_traces.json", 50)
         for command in ("ingest", "build", "train"):
-            assert main([command, "--manifest", manifest, "--out", str(out),
-                         *(["--episodes", "50"] if command == "train" else [])]) == 0
+            assert main([command, "--manifest", manifest, "--out", str(out)]) == 0
         assert main(["render", "--trace", str(out / "traces" / "episode_00000.csv"),
                      "--table", str(out / "table.json")]) == 0
         assert main(["export-metrics", "--manifest", manifest, "--out", str(out)]) == 0
+
+
+class TestPathFaults:
+    @pytest.mark.parametrize("case", ["trace-is-directory", "promo-plan-is-directory",
+                                      "out-is-file"])
+    def test_path_of_wrong_kind_exit_2(self, tmp_path, fixtures_dir, capsys, case):
+        """A directory where a CSV belongs, or a file where the output
+        directory belongs, exits 2 with the path named."""
+        if case == "trace-is-directory":
+            path = tmp_path / "traces"
+            path.mkdir()
+            table = tmp_path / "table.json"
+            table.write_text(serialize(make_frozen_lake(slippery=False)))
+            argv = ["render", "--trace", str(path), "--table", str(table)]
+        elif case == "promo-plan-is-directory":
+            path = tmp_path / "plan"
+            path.mkdir()
+            manifest = write_manifest(tmp_path, {
+                "inputs": {"promo_plan": "plan",
+                           "rx_transactions": str(fixtures_dir / "rx_transactions.csv"),
+                           "holiday_calendar": str(fixtures_dir / "holidays.csv")},
+                "environment": {"kind": "promo"},
+            })
+            argv = ["ingest", "--manifest", str(manifest)]
+        else:
+            path = tmp_path / "out"
+            path.write_text("a file\n")
+            manifest = write_manifest(tmp_path, {"environment": {"kind": "frozen-lake"}})
+            argv = ["build", "--manifest", str(manifest), "--out", str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(path) in err
+
+
+def readme_options() -> set[str]:
+    """Every --option token in README.md, bar the pip install line's."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = [line for line in text.splitlines() if "pip install" not in line]
+    return set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", "\n".join(lines)))
+
+
+def parser_options() -> dict[str, set[str]]:
+    """Each promo-gym subcommand's option strings, bar --help."""
+    [commands] = [action for action in build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    return {name: {option for action in command._actions
+                   for option in action.option_strings if option.startswith("--")}
+            - {"--help"}
+            for name, command in commands.choices.items()}
+
+
+class TestReadmeOptions:
+    def test_readme_names_only_parser_options(self):
+        assert readme_options() <= set().union(*parser_options().values())
+
+    def test_every_parser_option_in_readme(self):
+        assert set().union(*parser_options().values()) <= readme_options()
+
+    def test_only_eval_adds_an_option_to_the_manifest_ones(self):
+        run = {"--manifest", "--out"}
+        assert parser_options() == {
+            "ingest": run, "build": run, "train": run, "eval": run | {"--episodes"},
+            "render": {"--trace", "--table"}, "export-metrics": run,
+        }
 
 
 class TestConsoleEntryPoint:

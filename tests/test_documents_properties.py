@@ -17,15 +17,18 @@ from promo_gym.errors import PromoGymError, SchemaError
 from promo_gym.jsondoc import index
 from promo_gym.learner import QTable, qtable_from_json, qtable_to_json
 from promo_gym.manifest import load_manifest, manifest_to_json
-from promo_gym.promoenv import reference_grid_spec, spec_from_json, spec_to_json
+from promo_gym.promoenv import spec_from_json
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+# the text the conftest reference_spec fixture reads; these documents are
+# made at import, before any fixture runs
+REFERENCE_SPEC = (FIXTURES / "reference_grid_spec.json").read_text(encoding="utf-8")
 
 
 def _manifest_text() -> str:
     """The fixture manifest with absolute paths and an inline grid spec."""
     doc = json.loads(manifest_to_json(load_manifest(FIXTURES / "manifest.json")))
-    doc["environment"]["grid_spec"] = json.loads(spec_to_json(reference_grid_spec()))
+    doc["environment"]["grid_spec"] = json.loads(REFERENCE_SPEC)
     return json.dumps(doc, indent=1)
 
 
@@ -40,7 +43,7 @@ DOCUMENTS = {
     "manifest": (_manifest_text(), _load_manifest_text),
     "q-table": (qtable_to_json(QTable(3, 2, [[0.5, -1.0], [0.0, 2.0], [1e-3, 7]])),
                 qtable_from_json),
-    "grid-spec": (spec_to_json(reference_grid_spec()), spec_from_json),
+    "grid-spec": (REFERENCE_SPEC, spec_from_json),
     "binning-model": (model_to_json(fit_bins([0, 1, 2, 3, 5, 8, 13, 21])),
                       model_from_json),
 }

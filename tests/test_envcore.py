@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from promo_gym.envcore import RngStream
-from promo_gym.promoenv import build_promo_mdp, reference_grid_spec
+from promo_gym.promoenv import build_promo_mdp
 from promo_gym.tables import TabularEnv, TransitionEntry
 
 
@@ -61,10 +61,9 @@ class TestReset:
         env = TabularEnv(reference_table)
         assert env.reset(RngStream(0)) == 35
 
-    def test_two_point_uniform_start(self):
-        spec = reference_grid_spec()
+    def test_two_point_uniform_start(self, reference_spec):
         spec = dataclasses.replace(
-            spec, initial_states=frozenset({(3, 5), (3, 6)})
+            reference_spec, initial_states=frozenset({(3, 5), (3, 6)})
         )
         env = TabularEnv(build_promo_mdp(spec))
         rng = RngStream(77)

@@ -17,7 +17,6 @@ from promo_gym.promoenv import (
     PromoGridSpec,
     build_promo_mdp,
     derive_spec_from_data,
-    reference_grid_spec,
     spec_from_json,
     spec_to_json,
 )
@@ -64,16 +63,15 @@ class TestGoldenBlocks:
 
 
 class TestBuildRules:
-    def test_realign_fans_over_availability_in_column_order(self):
-        spec = reference_grid_spec()
-        table = build_promo_mdp(spec)
+    def test_realign_fans_over_availability_in_column_order(self, reference_table):
+        table = reference_table
         for col in range(10):
             entries = table.outcomes[10 + col][REALIGN]  # row 1
             assert [e.next_state for e in entries] == [10, 11, 12, 13, 14, 15, 18]
             assert all(abs(e.probability - 1 / 7) < 1e-15 for e in entries)
 
-    def test_row_moves_clamp_at_edges(self):
-        table = build_promo_mdp(reference_grid_spec())
+    def test_row_moves_clamp_at_edges(self, reference_table):
+        table = reference_table
         [bottom] = table.outcomes[3][LOWER]       # row 0 col 3
         assert bottom.next_state == 3
         [top] = table.outcomes[43][INCREASE]      # row 4 col 3
@@ -114,9 +112,9 @@ class TestBuildRules:
         [e] = reference_table.outcomes[35][FORECAST]
         assert (e.next_state, e.reward, e.done) == (35, -10.0, False)
 
-    def test_initial_distribution_uniform(self):
+    def test_initial_distribution_uniform(self, reference_spec):
         spec = dataclasses.replace(
-            reference_grid_spec(), initial_states=frozenset({(3, 5), (3, 6)})
+            reference_spec, initial_states=frozenset({(3, 5), (3, 6)})
         )
         table = build_promo_mdp(spec)
         assert table.initial_distribution == {35: 0.5, 36: 0.5}
@@ -146,8 +144,8 @@ class TestSpecValidation:
         with pytest.raises(SpecError):
             build_promo_mdp(spec)
 
-    def test_width_pinned_to_ten(self):
-        spec = dataclasses.replace(reference_grid_spec(), width=8)
+    def test_width_pinned_to_ten(self, reference_spec):
+        spec = dataclasses.replace(reference_spec, width=8)
         with pytest.raises(SpecError):
             spec.check()
 
@@ -323,10 +321,9 @@ class TestDeriveSpec:
 
 
 class TestSpecDocument:
-    def test_round_trip(self):
-        spec = reference_grid_spec()
-        again = spec_from_json(spec_to_json(spec))
-        assert again == spec
+    def test_round_trip(self, reference_spec):
+        again = spec_from_json(spec_to_json(reference_spec))
+        assert again == reference_spec
 
     def test_defaults_fill_in(self):
         text = """{"rows": 1, "avail": {"0": [0]}, "initial_states": [[0, 0]]}"""

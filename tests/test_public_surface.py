@@ -19,8 +19,6 @@ KEPT = {
     # the manifest round-trip property writes with it, and a run report
     # is to record the resolved manifest
     "manifest_to_json",
-    # the layout of the bundled reference_grid_spec.json
-    "reference_grid_spec",
 }
 
 
