@@ -164,31 +164,43 @@ def _resolve_grid_spec(manifest: RunManifest) -> promoenv.PromoGridSpec:
 def cmd_train(manifest: RunManifest) -> int:
     """Train per the manifest's learner config; emit q-table and metrics."""
     table = _load_run_table(manifest)
-    # an earlier run's trace files would join this run's in export-metrics
-    trace_dir = manifest.out_dir / "traces"
-    for stale in trace_dir.glob("episode_*.csv"):
-        stale.unlink()
+    emit = manifest.emit
     env = TabularEnv(table)
     q = QTable(table.n_states, table.n_actions)
-    traces = train(env, manifest.learner, q)
-    if manifest.emit.traces:
+    traces = train(env, manifest.learner, q, record_steps=emit.traces)
+    if emit.traces:
         traces = list(traces)  # the trace files are written after training
     series = metrics.compute_metrics(traces)
 
     out = _ensure_dir(manifest.out_dir)
+    # an earlier run's files that this run does not rewrite would pair with
+    # this run's q-table; its trace files would join this run's in
+    # export-metrics
+    trace_dir = out / "traces"
+    stale = [*trace_dir.glob("episode_*.csv"), out / "eval_report.json"]
+    if not emit.metrics:
+        stale += [out / "mean_cumulative.csv", out / "episodic.csv"]
+    if not emit.plots:
+        stale += [out / "mean_cumulative.svg", out / "episodic.svg"]
+    for path in stale:
+        try:
+            path.unlink(missing_ok=True)
+        except IsADirectoryError:
+            raise ConfigError(f"output {path} is a directory, not a file") from None
+
     q_path = out / "q_table.json"
     _write_text(q_path, qtable_to_json(q))
     print(f"trained {manifest.learner.episodes} episodes "
           f"(seed {manifest.learner.seed}) -> {q_path}")
-    _write_metrics(out, series, manifest.emit.metrics, manifest.emit.plots)
-    if manifest.emit.metrics:
+    _write_metrics(out, series, emit.metrics, emit.plots)
+    if emit.metrics:
         print(f"metrics -> {out / 'mean_cumulative.csv'}, {out / 'episodic.csv'}")
-    if manifest.emit.traces:
+    if emit.traces:
         _ensure_dir(trace_dir)
         for i, trace in enumerate(traces):
             metrics.write_trace_csv(trace_dir / f"episode_{i:05d}.csv", trace)
         print(f"traces -> {trace_dir} ({len(traces)} files)")
-    if manifest.emit.plots:
+    if emit.plots:
         print(f"plots -> {out / 'mean_cumulative.svg'}, {out / 'episodic.svg'}")
 
     report = evaluate_greedy(env, q, episodes=100,

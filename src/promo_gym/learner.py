@@ -16,7 +16,7 @@ import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import NamedTuple, get_type_hints
 
 import numpy as np
@@ -33,22 +33,25 @@ EVAL_STREAM = 1
 
 @dataclass
 class QTable:
-    """State x action matrix of action-value estimates, zero-initialized."""
+    """State x action action-value estimates, zero-initialized. values[s]
+    is state s's row as a list of Python floats, on which the learner's
+    one-cell reads and writes are fastest; rows or an array may be given."""
 
     n_states: int
     n_actions: int
-    values: np.ndarray | None = None
+    values: list[list[float]] | None = None
 
     def __post_init__(self) -> None:
         if self.values is None:
-            self.values = np.zeros((self.n_states, self.n_actions))
+            self.values = [[0.0] * self.n_actions for _ in range(self.n_states)]
         else:
-            self.values = np.asarray(self.values, dtype=float)
-            if self.values.shape != (self.n_states, self.n_actions):
+            values = np.asarray(self.values, dtype=float)
+            if values.shape != (self.n_states, self.n_actions):
                 raise DimensionMismatch(
-                    f"values shape {self.values.shape} != "
+                    f"values shape {values.shape} != "
                     f"({self.n_states}, {self.n_actions})"
                 )
+            self.values = values.tolist()
 
 
 @dataclass(frozen=True)
@@ -118,23 +121,35 @@ class TraceStep(NamedTuple):
 
 @dataclass
 class EpisodeTrace:
-    """One episode's steps plus running reward bookkeeping."""
+    """One episode's running reward bookkeeping, plus its steps when they
+    were recorded. steps is None for an episode run without recording
+    them, so it cannot pass for an episode of no steps."""
 
-    steps: list[TraceStep]
+    steps: list[TraceStep] | None
     cumulative: list[float]
     total_reward: float
     truncated: bool
 
     @classmethod
-    def from_steps(cls, steps: list[TraceStep]) -> "EpisodeTrace":
-        """Derive the running totals and truncation from the steps.
+    def from_rewards(cls, rewards: list[float], done: bool,
+                     steps: list[TraceStep] | None = None) -> "EpisodeTrace":
+        """Derive the running totals and truncation from the step rewards
+        and whether the last step ended the episode.
 
         The running sum starts at 0.0, so a -0.0 reward totals 0.0.
         An episode is truncated unless its last step ended it.
         """
-        cumulative = list(accumulate((s.reward for s in steps), initial=0.0))
-        return cls(steps=steps, cumulative=cumulative[1:], total_reward=cumulative[-1],
-                   truncated=not (steps and steps[-1].done))
+        cumulative = list(accumulate(rewards, initial=0.0))
+        total = cumulative[-1]
+        del cumulative[0]
+        return cls(steps=steps, cumulative=cumulative, total_reward=total,
+                   truncated=not done)
+
+    @classmethod
+    def from_steps(cls, steps: list[TraceStep]) -> "EpisodeTrace":
+        """The trace of the recorded steps."""
+        return cls.from_rewards([s.reward for s in steps],
+                                bool(steps) and steps[-1].done, steps)
 
 
 def act(q: QTable, state: int, epsilon: float, rng: RngStream) -> int:
@@ -142,52 +157,60 @@ def act(q: QTable, state: int, epsilon: float, rng: RngStream) -> int:
     take the lowest-index argmax of the state's Q row."""
     if epsilon > 0.0 and rng.random() < epsilon:
         return rng.integers(q.n_actions)
-    row = q.values[state].tolist()
+    row = q.values[state]
     return row.index(max(row))
 
 
 def q_update(q: QTable, s: int, a: int, r: float, s_next: int, done: bool,
              alpha: float, gamma: float) -> float:
     """Apply one TD update in place; returns the new value at (s, a)."""
-    values = q.values
-    old = values.item(s, a)
+    row = q.values[s]
+    old = row[a]
     # among tied zeros builtin max may keep a different signed zero than
     # np.max; the stored value comes out bit-identical either way
-    target = r if done else r + gamma * max(values[s_next].tolist())
+    target = r if done else r + gamma * max(q.values[s_next])
     new = old + alpha * (target - old)
     if not math.isfinite(new):
         raise NonFinite(f"update at ({s}, {a}) produced {new}")
-    values[s, a] = new
+    row[a] = new
     return new
 
 
 def greedy_policy(q: QTable) -> np.ndarray:
     """Per-state lowest-index argmax action."""
-    return np.argmax(q.values, axis=1)
+    return np.argmax(np.reshape(q.values, (q.n_states, q.n_actions)), axis=1)
 
 
 def run_episode(env: TabularEnv, q: QTable, config: LearnerConfig,
-                epsilon: float, rng: RngStream, learning: bool) -> EpisodeTrace:
+                epsilon: float, rng: RngStream, learning: bool,
+                record_steps: bool = True) -> EpisodeTrace:
     """Roll one episode: act, step, (optionally) update, until done or
-    the step cap. With learning=False the Q-table is left untouched."""
+    the step cap. With learning=False the Q-table is left untouched; with
+    record_steps=False the trace keeps only its rewards' running totals."""
     state = env.reset(rng)
-    steps: list[TraceStep] = []
+    steps: list[TraceStep] | None = [] if record_steps else None
+    rewards: list[float] = []
+    done = False
     for _ in range(config.max_steps_per_episode):
         action = act(q, state, epsilon, rng)
         _, next_state, reward, done = env.step(action, rng)
         if learning:
             q_update(q, state, action, reward, next_state, done,
                      config.alpha, config.gamma)
-        steps.append(TraceStep(state, action, reward, next_state, done))
+        if steps is not None:
+            steps.append(TraceStep(state, action, reward, next_state, done))
+        rewards.append(reward)
         state = next_state
         if done:
             break
-    return EpisodeTrace.from_steps(steps)
+    return EpisodeTrace.from_rewards(rewards, done, steps)
 
 
-def train(env: TabularEnv, config: LearnerConfig, q: QTable) -> Iterator[EpisodeTrace]:
+def train(env: TabularEnv, config: LearnerConfig, q: QTable,
+          record_steps: bool = True) -> Iterator[EpisodeTrace]:
     """Train q in place, yielding each episode's trace as it ends;
-    reproducible from config.seed alone.
+    reproducible from config.seed alone. record_steps=False leaves the
+    steps out of the traces, for a caller that reads only their rewards.
 
     Episode i draws from the sub-stream (seed, 0, i), so its randomness
     is independent of every other episode's length.
@@ -197,7 +220,8 @@ def train(env: TabularEnv, config: LearnerConfig, q: QTable) -> Iterator[Episode
     streams = RngStream(config.seed).substream(TRAIN_STREAM).substreams(config.episodes)
     for episode, rng in enumerate(streams):
         epsilon = epsilon_schedule(config, episode)
-        yield run_episode(env, q, config, epsilon, rng, learning=True)
+        yield run_episode(env, q, config, epsilon, rng, learning=True,
+                          record_steps=record_steps)
 
 
 def evaluate_greedy(env: TabularEnv, q: QTable, episodes: int, max_steps: int,
@@ -246,7 +270,7 @@ def qtable_to_json(q: QTable) -> str:
         {
             "n_states": q.n_states,
             "n_actions": q.n_actions,
-            "values": q.values.tolist(),
+            "values": q.values,
         },
         indent=1,
     )
@@ -262,9 +286,9 @@ def qtable_from_json(text: str) -> QTable:
                for row in values for v in jsondoc.array(row, f"{what}: values row")):
         raise SchemaError(f"{what}: values must be numbers")
     try:
-        q = QTable(n_states, n_actions, np.asarray(values, dtype=float))
+        q = QTable(n_states, n_actions, values)
     except (OverflowError, ValueError) as exc:  # a huge integer, ragged rows
         raise SchemaError(f"{what}: {exc}") from exc
-    if not np.isfinite(q.values).all():
+    if not all(map(math.isfinite, chain.from_iterable(q.values))):
         raise SchemaError(f"{what}: values must be finite")
     return q

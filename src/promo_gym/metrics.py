@@ -10,9 +10,11 @@ Two series summarize a training run:
 
 from __future__ import annotations
 
+import math
 from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import TextIO
 
@@ -32,25 +34,54 @@ class MetricsSeries:
     totals: array   # "d": total reward of episodes 0, 1, ...
 
 
+_BLOCK = 128  # episodes folded into the per-step sums by one numpy reduction
+
+
 def compute_metrics(traces: Iterable[EpisodeTrace]) -> MetricsSeries:
     """Carry-forward mean cumulative curve plus per-episode totals, in one
-    pass that keeps no trace. Each episode's carry-forward row is added to
-    per-step sums in episode order, as mean(axis=0) adds the rows of an
-    episodes x steps grid, so the means are bit-identical to the grid's."""
+    pass that keeps no trace, only the running totals of a block of
+    episodes. Each episode's carry-forward row is added to per-step sums
+    in episode order, as mean(axis=0) adds the rows of an episodes x steps
+    grid, so the means are bit-identical to the grid's."""
     sums = np.zeros(1)  # per-step sums of the carry-forward rows so far
     totals = array("d")
+    longest = 0
+    block: list[list[float]] = []
     for trace in traces:
-        n = len(trace.cumulative)
-        if n > len(sums):  # new steps start from the last sum: the totals so far
-            sums = np.pad(sums, (0, n - len(sums)), mode="edge")
-        sums[:n] += trace.cumulative
-        sums[n:] += trace.total_reward
+        block.append(trace.cumulative)
         totals.append(trace.total_reward)
+        longest = max(longest, len(trace.cumulative))
+        if len(block) == _BLOCK:
+            sums = _fold(sums, block, totals[-_BLOCK:])
+            block = []
     if not totals:
         raise EmptyInput("no traces to compute metrics over")
-    if len(sums) == 1:  # the grid mean sums a lone column pairwise, not in order
+    if block:
+        sums = _fold(sums, block, totals[-len(block):])
+    if longest <= 1:  # the grid mean sums a lone column pairwise, not in order
         sums = np.array([np.sum(totals)])
     return MetricsSeries(means=array("d", sums / len(totals)), totals=totals)
+
+
+def _fold(sums: np.ndarray, cumulatives: list[list[float]],
+          totals: array) -> np.ndarray:
+    """Add a block's carry-forward rows to the sums, in episode order.
+
+    Row 0 of the grid is the sums so far, carried forward at the edge:
+    every earlier episode adds its total to the steps it did not reach.
+    Each episode row is its running totals, padded with its total. Over
+    two or more columns np.add.reduce(axis=0) adds the rows in order;
+    over a lone column it would sum them pairwise, so the grid has at
+    least two.
+    """
+    lengths = np.array([len(c) for c in cumulatives])
+    width = max(2, len(sums), int(lengths.max()))
+    grid = np.empty((1 + len(cumulatives), width))
+    grid[0, :len(sums)] = sums
+    grid[0, len(sums):] = sums[-1]
+    grid[1:] = np.array(totals)[:, None]
+    grid[1:][np.arange(width) < lengths[:, None]] = list(chain.from_iterable(cumulatives))
+    return np.add.reduce(grid, axis=0)
 
 
 # --- CSV emission --------------------------------------------------------------
@@ -76,16 +107,30 @@ def write_trace_csv(target: str | Path | TextIO, trace: EpisodeTrace) -> None:
 
 
 def read_trace_csv(source: str | Path | TextIO) -> EpisodeTrace:
-    """Read a trace file by the rules of every input CSV (ingest._open_rows)."""
-    steps = []
+    """Read a trace file by the rules of every input CSV (ingest._open_rows).
+    Its rows must be one episode: steps numbered 1..n, finite rewards,
+    each state the previous row's next_state, and done on the last row
+    only."""
+    steps: list[TraceStep] = []
     for row_num, row in _open_rows(source, _TRACE_HEADER):
         try:
-            _, state, action, reward, next_state, done = row
-            steps.append(TraceStep(state=int(state), action=int(action),
-                                   reward=float(reward), next_state=int(next_state),
-                                   done=_DONE[done]))
+            number, state, action, reward, next_state, done = row
+            number = int(number)
+            step = TraceStep(state=int(state), action=int(action),
+                             reward=float(reward), next_state=int(next_state),
+                             done=_DONE[done])
         except (ValueError, KeyError):
             raise RowError(f"not a trace row: {','.join(row)!r}", row_num) from None
+        if number != len(steps) + 1:
+            raise RowError(f"step {number}, expected step {len(steps) + 1}", row_num)
+        if not math.isfinite(step.reward):
+            raise RowError(f"reward {reward!r} is not finite", row_num)
+        if steps and steps[-1].done:
+            raise RowError("a step after the step that ended the episode", row_num)
+        if steps and step.state != steps[-1].next_state:
+            raise RowError(f"state {step.state} is not the previous row's "
+                           f"next_state {steps[-1].next_state}", row_num)
+        steps.append(step)
     if not steps:  # an episode takes at least one step
         raise EmptyInput(f"{_source_name(source)}: trace has no steps")
     return EpisodeTrace.from_steps(steps)

@@ -27,6 +27,8 @@ def render_trace(trace: EpisodeTrace, table: TransitionTable) -> str:
     goals = table.goal_states()
 
     lines = [_header(width, promo_style)]
+    if trace.steps is None:
+        raise TypeError("the trace was run without recording its steps")
     if not trace.steps:
         return "\n".join(lines)
 

@@ -166,7 +166,10 @@ def step_sample(table: TransitionTable, state: int, action: int,
         raise InvalidState(f"state {state} out of range 0..{table.n_states - 1}")
     if not (0 <= action < table.n_actions):
         raise InvalidAction(f"action {action} out of range 0..{table.n_actions - 1}")
-    return _inverse_cdf(table.outcomes[state][action], rng)
+    rows = table.outcomes[state][action]
+    if len(rows) == 1:
+        return rows[0]
+    return _inverse_cdf(rows, rng)
 
 
 def _inverse_cdf(rows: list, rng: RngStream):
@@ -196,13 +199,14 @@ class TabularEnv:
 
     def __init__(self, table: TransitionTable):
         self.table = table
+        # (probability, state) rows in state order, as reset draws from them
+        self._initial = [(p, s) for s, p in sorted(table.initial_distribution.items())]
         self.current_state: int | None = None
         self.episode_done = False
 
     def reset(self, rng: RngStream) -> int:
         """Draw an initial state; a single-point distribution skips the rng."""
-        pairs = [(p, s) for s, p in sorted(self.table.initial_distribution.items())]
-        self.current_state = _inverse_cdf(pairs, rng)[1]
+        self.current_state = _inverse_cdf(self._initial, rng)[1]
         self.episode_done = False
         return self.current_state
 

@@ -331,6 +331,26 @@ class TestTrainCommand:
         assert main(["train", "--manifest", str(built_run)]) == 0
         assert list((out / "traces").glob("episode_*.csv")) == []
 
+    @pytest.mark.parametrize("emit_off, names", [
+        ("metrics", ["mean_cumulative.csv", "episodic.csv"]),
+        ("plots", ["mean_cumulative.svg", "episodic.svg"]),
+        (None, ["eval_report.json"]),
+    ], ids=["metrics-off", "plots-off", "eval-report"])
+    def test_train_removes_outputs_it_does_not_rewrite(self, built_run, tmp_path,
+                                                        emit_off, names):
+        """No output of an earlier run stays beside a new q_table.json."""
+        out = tmp_path / "out"
+        set_fields(built_run, "emit", plots=True)
+        assert main(["train", "--manifest", str(built_run)]) == 0
+        assert main(["eval", "--manifest", str(built_run), "--episodes", "5"]) == 0
+        assert all((out / name).exists() for name in names)
+        if emit_off is not None:
+            set_fields(built_run, "emit", **{emit_off: False})
+        set_fields(built_run, "learner", episodes=50)
+        assert main(["train", "--manifest", str(built_run)]) == 0
+        assert [name for name in names if (out / name).exists()] == []
+        assert (out / "q_table.json").exists()
+
     def test_invalid_table_file_rejected_by_every_reader(self, built_run, tmp_path,
                                                          capsys):
         # probability mass 1.37 at (35, realign)
@@ -576,6 +596,25 @@ class TestMalformedTrace:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["render", "export-metrics"])
+    @pytest.mark.parametrize("rows, message", [
+        ("1,0,1,nan,4,false", "row 2: reward 'nan' is not finite"),
+        ("1,0,1,1e999,4,false", "row 2: reward '1e999' is not finite"),
+        ("1,0,1,-inf,4,false", "row 2: reward '-inf' is not finite"),
+        ("1,0,1,0.0,4,true\n2,4,1,0.0,8,false",
+         "row 3: a step after the step that ended the episode"),
+        ("0,0,1,0.0,4,false", "row 2: step 0, expected step 1"),
+        ("1,0,1,0.0,4,false\n3,4,1,0.0,8,false", "row 3: step 3, expected step 2"),
+        ("1,0,1,0.0,4,false\n1,4,1,0.0,8,false", "row 3: step 1, expected step 2"),
+        ("1,0,1,0.0,4,false\n2,5,1,0.0,9,false",
+         "row 3: state 5 is not the previous row's next_state 4"),
+    ], ids=["reward-nan", "reward-overflow", "reward-minus-inf", "done-before-last",
+            "step-from-0", "step-skipped", "step-repeated", "state-not-next-state"])
+    def test_inconsistent_trace_exit_2(self, tmp_path, capsys, command, rows, message):
+        content = TRACE_HEADER + f"{rows}\n".encode()
+        assert main(trace_argv(tmp_path, command, content)) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["render", "export-metrics"])
     def test_header_only_trace_exit_2(self, tmp_path, capsys, command):
         assert main(trace_argv(tmp_path, command, TRACE_HEADER)) == 2
         assert "episode_00000.csv: trace has no steps" in capsys.readouterr().err
@@ -641,10 +680,10 @@ class TestPipelineClosure:
 
 class TestPathFaults:
     @pytest.mark.parametrize("case", ["trace-is-directory", "promo-plan-is-directory",
-                                      "out-is-file"])
+                                      "out-is-file", "eval-report-is-directory"])
     def test_path_of_wrong_kind_exit_2(self, tmp_path, fixtures_dir, capsys, case):
-        """A directory where a CSV belongs, or a file where the output
-        directory belongs, exits 2 with the path named."""
+        """A directory where a CSV or an output file belongs, or a file
+        where the output directory belongs, exits 2 with the path named."""
         if case == "trace-is-directory":
             path = tmp_path / "traces"
             path.mkdir()
@@ -661,6 +700,14 @@ class TestPathFaults:
                 "environment": {"kind": "promo"},
             })
             argv = ["ingest", "--manifest", str(manifest)]
+        elif case == "eval-report-is-directory":
+            manifest = write_manifest(tmp_path, {"environment": {"kind": "frozen-lake"},
+                                                 "learner": {"episodes": 20},
+                                                 "out_dir": "out"})
+            assert main(["build", "--manifest", str(manifest)]) == 0
+            path = tmp_path / "out" / "eval_report.json"
+            path.mkdir()
+            argv = ["train", "--manifest", str(manifest)]
         else:
             path = tmp_path / "out"
             path.write_text("a file\n")

@@ -29,6 +29,11 @@ def scalar_update_oracle(old, r, next_row, done, alpha, gamma):
     return old + alpha * (target - old)
 
 
+def bits(q: QTable) -> list[list[str]]:
+    """Each Q value's exact bits, signed zeros told apart."""
+    return [[v.hex() for v in row] for row in q.values]
+
+
 def one_step_table() -> TransitionTable:
     return TransitionTable.compile(
         2, 1, [[[(1.0, 1, 1.0, True)]], [[(1.0, 1, 0.0, True)]]], {0: 1.0})
@@ -67,7 +72,7 @@ class TestQUpdate:
         q = QTable(2, 2)
         new = q_update(q, 0, 0, r=-1.0, s_next=1, done=False, alpha=0.5, gamma=0.9)
         assert new == -0.5
-        assert q.values[0, 0] == -0.5
+        assert q.values[0][0] == -0.5
 
     def test_terminal_skips_bootstrap(self):
         q = QTable(2, 2)
@@ -88,26 +93,26 @@ class TestQUpdate:
             alpha = rng.uniform(0.01, 1.0)
             gamma = rng.uniform(0.0, 0.999)
             expected = scalar_update_oracle(
-                float(q.values[s, a]), r, [float(v) for v in q.values[s_next]],
+                q.values[s][a], r, list(q.values[s_next]),
                 done, alpha, gamma,
             )
             got = q_update(q, s, a, r, s_next, done, alpha, gamma)
             assert math.isclose(got, expected, rel_tol=0.0, abs_tol=1e-12)
 
     def test_update_touches_exactly_one_cell(self):
-        q = QTable(4, 3)
-        q.values[:] = 1.0
-        before = q.values.copy()
+        q = QTable(4, 3, np.ones((4, 3)))
+        before = [list(row) for row in q.values]
         q_update(q, 2, 1, r=5.0, s_next=0, done=False, alpha=0.5, gamma=0.9)
-        diff = (q.values != before)
-        assert diff.sum() == 1 and diff[2, 1]
+        changed = [(s, a) for s in range(4) for a in range(3)
+                   if q.values[s][a] != before[s][a]]
+        assert changed == [(2, 1)]
 
     def test_non_finite_rejected(self):
         q = QTable(2, 1)
-        q.values[0, 0] = -1e308
+        q.values[0][0] = -1e308
         with pytest.raises(NonFinite):
             q_update(q, 0, 0, r=1e308, s_next=1, done=True, alpha=1.0, gamma=0.9)
-        assert q.values[0, 0] == -1e308  # rejected update leaves the cell alone
+        assert q.values[0][0] == -1e308  # rejected update leaves the cell alone
 
 
 class TestGreedyPolicy:
@@ -122,7 +127,7 @@ class TestGreedyPolicy:
     def test_positive_scaling_invariance(self):
         rng = np.random.default_rng(8)
         q = QTable(10, 4, rng.normal(size=(10, 4)))
-        scaled = QTable(10, 4, q.values * 7.5)
+        scaled = QTable(10, 4, [[v * 7.5 for v in row] for row in q.values])
         assert greedy_policy(q).tolist() == greedy_policy(scaled).tolist()
 
 
@@ -172,7 +177,8 @@ class TestRunEpisode:
         env = TabularEnv(reference_table)
         config = LearnerConfig(episodes=1, max_steps_per_episode=5)
         q = QTable(50, 4)
-        q.values[:, 3] = 1.0  # argmax everywhere is the failing forecast
+        for row in q.values:
+            row[3] = 1.0  # argmax everywhere is the failing forecast
         trace = run_episode(env, q, config, epsilon=0.0, rng=RngStream(0),
                             learning=False)
         assert trace.truncated
@@ -183,11 +189,10 @@ class TestRunEpisode:
     def test_learning_false_leaves_q_untouched(self, reference_table):
         env = TabularEnv(reference_table)
         config = LearnerConfig(episodes=1, max_steps_per_episode=30)
-        q = QTable(50, 4)
-        q.values[:] = np.arange(200.0).reshape(50, 4)
-        before = q.values.tobytes()
+        q = QTable(50, 4, np.arange(200.0).reshape(50, 4))
+        before = bits(q)
         run_episode(env, q, config, epsilon=0.3, rng=RngStream(3), learning=False)
-        assert q.values.tobytes() == before
+        assert bits(q) == before
 
     def test_cumulative_tracks_totals_exactly(self, reference_table):
         env = TabularEnv(reference_table)
@@ -209,7 +214,7 @@ class TestTrain:
         q = QTable(2, 1)
         traces = list(train(env, LearnerConfig(episodes=1, seed=4), q))
         assert len(traces) == 1
-        assert q.values[0, 0] != 0.0
+        assert q.values[0][0] != 0.0
 
     def test_same_seed_bitwise_reproducible(self, reference_table):
         env1 = TabularEnv(reference_table)
@@ -218,7 +223,7 @@ class TestTrain:
         q1, q2 = QTable(50, 4), QTable(50, 4)
         traces1 = list(train(env1, config, q1))
         traces2 = list(train(env2, config, q2))
-        assert q1.values.tobytes() == q2.values.tobytes()
+        assert bits(q1) == bits(q2)
         assert traces1 == traces2
 
     def test_different_seeds_differ(self, reference_table):
@@ -228,23 +233,23 @@ class TestTrain:
                                       seed=1), q1))
         list(train(env, LearnerConfig(episodes=100, max_steps_per_episode=40,
                                       seed=2), q2))
-        assert q1.values.tobytes() != q2.values.tobytes()
+        assert bits(q1) != bits(q2)
 
     def test_learns_small_deterministic_mdp_exactly(self):
         # two-state chain: Q*(0, 0) = 1 reached after repeated visits
         env = TabularEnv(one_step_table())
         q = QTable(2, 1)
         list(train(env, LearnerConfig(episodes=300, seed=3), q))
-        assert q.values[0, 0] == pytest.approx(1.0, abs=1e-10)
+        assert q.values[0][0] == pytest.approx(1.0, abs=1e-10)
         # terminal row stays pinned at zero
-        assert q.values[1].tolist() == [0.0]
+        assert q.values[1] == [0.0]
 
     def test_terminal_rows_stay_zero_on_frozen_lake(self, lake_table):
         env = TabularEnv(lake_table)
         q = QTable(16, 4)
         list(train(env, LearnerConfig(episodes=500, seed=21), q))
         for s in (5, 7, 11, 12, 15):  # the lake's holes and goal
-            assert q.values[s].tolist() == [0.0, 0.0, 0.0, 0.0]
+            assert q.values[s] == [0.0, 0.0, 0.0, 0.0]
 
 
 class TestEvaluateGreedy:
@@ -281,7 +286,7 @@ class TestQTableDocument:
         rng = np.random.default_rng(0)
         q = QTable(6, 3, rng.normal(size=(6, 3)))
         again = qtable_from_json(qtable_to_json(q))
-        assert again.values.tobytes() == q.values.tobytes()
+        assert bits(again) == bits(q)
 
     def test_shape_checked(self):
         with pytest.raises(DimensionMismatch):

@@ -2,7 +2,9 @@
 
 act and q_update read Q rows as plain Python floats; these properties hold
 them to the numpy reductions bit for bit, on random finite rows with
-forced ties, all-zero rows and both signed zeros.
+forced ties, all-zero rows and both signed zeros. A whole training run,
+with and without recorded steps, is held to a reference loop over a numpy
+Q array that records every step.
 """
 
 import numpy as np
@@ -11,7 +13,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from promo_gym.envcore import RngStream
-from promo_gym.learner import QTable, TraceStep, act, q_update
+from promo_gym.learner import (
+    TRAIN_STREAM,
+    EpisodeTrace,
+    LearnerConfig,
+    QTable,
+    TraceStep,
+    act,
+    epsilon_schedule,
+    q_update,
+    train,
+)
+from promo_gym.metrics import compute_metrics
+from promo_gym.tables import TabularEnv, TransitionTable, validate
 
 # small pool values repeat often, so rows get ties, including +0.0 against -0.0
 CELL = st.one_of(
@@ -28,7 +42,7 @@ def q_tables(draw) -> QTable:
         st.just([0.0] * n_actions),
     )
     rows = draw(st.lists(row, min_size=1, max_size=5))
-    return QTable(len(rows), n_actions, np.array(rows, dtype=float))
+    return QTable(len(rows), n_actions, rows)
 
 
 @settings(deadline=None)
@@ -46,7 +60,7 @@ def test_q_update_matches_numpy_bitwise(q, data, r, done, alpha, gamma):
     s = data.draw(st.integers(0, q.n_states - 1))
     a = data.draw(st.integers(0, q.n_actions - 1))
     s_next = data.draw(st.integers(0, q.n_states - 1))
-    before = q.values.copy()
+    before = np.array(q.values)
     old = float(before[s, a])
     target = r if done else r + gamma * float(np.max(before[s_next]))
     expected = old + alpha * (target - old)
@@ -56,7 +70,7 @@ def test_q_update_matches_numpy_bitwise(q, data, r, done, alpha, gamma):
     assert type(got) is float
     assert got.hex() == expected.hex()
     before[s, a] = expected
-    assert q.values.tobytes() == before.tobytes()
+    assert np.array(q.values).tobytes() == before.tobytes()
 
 
 @given(state=st.integers(0, 10**6), action=st.integers(0, 8), reward=CELL,
@@ -72,3 +86,135 @@ def test_trace_step_equal_and_hashable_by_fields(state, action, reward,
             first.done) == (state, action, reward, next_state, done)
     with pytest.raises(AttributeError):
         first.state = state + 1
+
+
+# --- whole training runs against a reference loop ---------------------------------
+
+REWARD = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 10.0]),
+                   st.floats(min_value=-10.0, max_value=10.0))
+
+
+def normalized(weights: list[int]) -> list[float]:
+    return [w / sum(weights) for w in weights]
+
+
+@st.composite
+def valid_tables(draw) -> TransitionTable:
+    n_states = draw(st.integers(1, 6))
+    n_actions = draw(st.integers(1, 4))
+
+    def outcome_list() -> list[tuple]:
+        weights = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+        return [(p, draw(st.integers(0, n_states - 1)), draw(REWARD), draw(st.booleans()))
+                for p in normalized(weights)]
+
+    outcomes = [[outcome_list() for _ in range(n_actions)] for _ in range(n_states)]
+    starts = draw(st.lists(st.integers(0, n_states - 1), min_size=1, max_size=3,
+                           unique=True))
+    weights = draw(st.lists(st.integers(1, 5), min_size=len(starts),
+                            max_size=len(starts)))
+    table = TransitionTable.compile(n_states, n_actions, outcomes,
+                                    dict(zip(starts, normalized(weights))))
+    assert validate(table) == []
+    return table
+
+
+@st.composite
+def learner_configs(draw) -> LearnerConfig:
+    epsilon_start = draw(st.floats(0.0, 1.0))
+    return LearnerConfig(
+        alpha=draw(st.floats(0.01, 1.0)),
+        gamma=draw(st.floats(0.0, 0.99)),
+        epsilon_start=epsilon_start,
+        epsilon_end=draw(st.floats(0.0, epsilon_start)),
+        epsilon_decay_episodes=draw(st.none() | st.integers(1, 300)),
+        # on both sides of the 128-episode blocks compute_metrics folds
+        episodes=draw(st.integers(1, 300)),
+        max_steps_per_episode=draw(st.integers(1, 15)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+
+
+def reference_draw(rows: list, rng: RngStream):
+    """Inverse-CDF draw in listed order; a lone row takes no draw."""
+    if len(rows) == 1:
+        return rows[0]
+    u = rng.random()
+    acc = 0.0
+    for row in rows:
+        acc += row[0]
+        if u < acc:
+            return row
+    return rows[-1]
+
+
+def reference_training(table: TransitionTable, config: LearnerConfig):
+    """The training loop over a numpy Q array: np.argmax picks the greedy
+    action, np.max gives the bootstrap, every step is a TraceStep and every
+    episode EpisodeTrace.from_steps."""
+    q = np.zeros((table.n_states, table.n_actions))
+    initial = [(p, s) for s, p in sorted(table.initial_distribution.items())]
+    root = RngStream(config.seed)
+    traces = []
+    for episode in range(config.episodes):
+        rng = root.substream(TRAIN_STREAM, episode)
+        epsilon = epsilon_schedule(config, episode)
+        state = reference_draw(initial, rng)[1]
+        steps = []
+        for _ in range(config.max_steps_per_episode):
+            if epsilon > 0.0 and rng.random() < epsilon:
+                action = rng.integers(table.n_actions)
+            else:
+                action = int(np.argmax(q[state]))
+            _, next_state, reward, done = reference_draw(table.outcomes[state][action],
+                                                         rng)
+            old = float(q[state, action])
+            target = reward if done else reward + config.gamma * float(np.max(q[next_state]))
+            q[state, action] = old + config.alpha * (target - old)
+            steps.append(TraceStep(state, action, reward, next_state, done))
+            state = next_state
+            if done:
+                break
+        traces.append(EpisodeTrace.from_steps(steps))
+    return q, traces
+
+
+def reference_metrics(traces: list[EpisodeTrace]) -> tuple[list[float], list[float]]:
+    """Per-step sums grown at the edge and added to episode by episode."""
+    sums = np.zeros(1)
+    totals = [trace.total_reward for trace in traces]
+    for trace in traces:
+        n = len(trace.cumulative)
+        if n > len(sums):
+            sums = np.pad(sums, (0, n - len(sums)), mode="edge")
+        sums[:n] += trace.cumulative
+        sums[n:] += trace.total_reward
+    if len(sums) == 1:
+        sums = np.array([np.sum(totals)])
+    return (sums / len(totals)).tolist(), totals
+
+
+def hexed(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+@settings(deadline=None, max_examples=50)
+@given(table=valid_tables(), config=learner_configs(), record_steps=st.booleans())
+def test_training_matches_reference_loop(table, config, record_steps):
+    q = QTable(table.n_states, table.n_actions)
+    traces = list(train(TabularEnv(table), config, q, record_steps))
+    series = compute_metrics(iter(traces))
+
+    ref_q, ref_traces = reference_training(table, config)
+    ref_means, ref_totals = reference_metrics(ref_traces)
+
+    assert all(type(v) is float for row in q.values for v in row)
+    assert np.array(q.values).tobytes() == ref_q.tobytes()
+    assert len(traces) == len(ref_traces)
+    for trace, ref in zip(traces, ref_traces):
+        assert trace.steps == (ref.steps if record_steps else None)
+        assert hexed(trace.cumulative) == hexed(ref.cumulative)
+        assert hexed([trace.total_reward]) == hexed([ref.total_reward])
+        assert trace.truncated == ref.truncated
+    assert hexed(series.means) == hexed(ref_means)
+    assert hexed(series.totals) == hexed(ref_totals)

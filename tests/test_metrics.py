@@ -87,6 +87,20 @@ _episodes = st.integers(min_value=1, max_value=12).flatmap(
                          max_size=40))
 
 
+# episode counts on both sides of the 128-episode blocks compute_metrics folds
+_many_episodes = st.integers(min_value=1, max_value=6).flatmap(
+    lambda cap: st.lists(st.lists(_reward, min_size=1, max_size=cap), min_size=100,
+                         max_size=300))
+
+
+def assert_matches_grid(episodes):
+    traces = [EpisodeTrace.from_steps(trace_from_rewards(r).steps) for r in episodes]
+    series = compute_metrics(iter(traces))
+    mean_cumulative, episodic = grid_metrics(traces)
+    assert hexed(series.means) == hexed(mean_cumulative)
+    assert hexed(series.totals) == hexed(episodic)
+
+
 class TestStreamingMatchesGrid:
     @settings(deadline=None, max_examples=300)
     @given(_episodes, st.booleans())
@@ -94,15 +108,22 @@ class TestStreamingMatchesGrid:
     @example([[1e16]] + [[1.0]] * 9, False)  # one step: the grid sums pairwise
     @example([[-0.0, 0.0, -0.0]], False)
     @example([[1e300, -1e300, 1.0]], False)
+    # one-step episodes, then longer ones, around the block edges
+    @example([[0.1 * k] for k in range(126)] + [[1e16, 1.0, 3.0]], False)
+    @example([[1e16]] + [[0.1 * k] for k in range(127)], False)
+    @example([[0.1 * k] for k in range(128)] + [[1.0, 2.0]], False)
+    @example([[0.1 * k] for k in range(129)] + [[-0.0, 0.3]] * 127 + [[1.0] * 9], False)
     def test_bit_identical(self, episodes, longest_last):
         if longest_last:
             episodes = sorted(episodes, key=len)
-        traces = [EpisodeTrace.from_steps(trace_from_rewards(r).steps)
-                  for r in episodes]
-        series = compute_metrics(iter(traces))
-        mean_cumulative, episodic = grid_metrics(traces)
-        assert hexed(series.means) == hexed(mean_cumulative)
-        assert hexed(series.totals) == hexed(episodic)
+        assert_matches_grid(episodes)
+
+    @settings(deadline=None, max_examples=40)
+    @given(_many_episodes, st.booleans())
+    def test_bit_identical_across_blocks(self, episodes, longest_last):
+        if longest_last:
+            episodes = sorted(episodes, key=len)
+        assert_matches_grid(episodes)
 
 
 class TestKeepsNoTrace:
@@ -160,6 +181,13 @@ class TestCsvEmission:
         assert again.truncated
         assert again == trace
 
+
+    def test_trace_without_recorded_steps_is_not_written(self):
+        unrecorded = EpisodeTrace(steps=None, cumulative=[-1.0], total_reward=-1.0,
+                                  truncated=True)
+        buffer = io.StringIO()
+        with pytest.raises(TypeError):
+            write_trace_csv(buffer, unrecorded)
 
     def test_negative_zero_reward_totals_positive_zero(self):
         buffer = io.StringIO()

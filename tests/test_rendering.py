@@ -41,6 +41,12 @@ class TestRenderTrace:
         text = render_trace(empty, reference_table)
         assert text == "Mon Tue Wed Thu Fri Sat Sun A7  A8  A9"
 
+    def test_trace_without_recorded_steps_is_not_an_empty_trace(self, reference_table):
+        unrecorded = EpisodeTrace(steps=None, cumulative=[-1.0], total_reward=-1.0,
+                                  truncated=True)
+        with pytest.raises(TypeError):
+            render_trace(unrecorded, reference_table)
+
     def test_goal_forecast_flagged(self, reference_table):
         text = render_trace(one_step_trace(24, 3, 20, 24, True), reference_table)
         note = text.split("\n")[7]

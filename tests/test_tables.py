@@ -45,6 +45,16 @@ class TestValidate:
         assert "probability mass 0.9" in report[0]
         assert "state 0, action 0" in report[0]
 
+    @pytest.mark.parametrize("excess, reported", [(1e-7, True), (1e-11, False)])
+    def test_mass_tolerance_between_rounding_and_real_error(self, excess, reported):
+        # 1e-7 is a real error that a looser 1e-6 tolerance would pass;
+        # 1e-11 is float rounding, well inside the 1e-9 tolerance
+        table = one_pair_table((0.5, 0, 0.0, False), (0.5 + excess, 0, 0.0, True))
+        report = validate(table)
+        assert len(report) == reported
+        assert all(v.startswith("state 0, action 0: probability mass 1.0000000999")
+                   for v in report)
+
     def test_missing_action_reported(self):
         # the compiled form holds every pair; a missing action has no outcomes
         table = TransitionTable.compile(1, 2, [[[(1.0, 0, 0.0, True)], []]], {0: 1.0})
