@@ -45,6 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="print an episode trace as text frames")
     p.add_argument("--trace", required=True, help="trace CSV file")
     p.add_argument("--table", required=True, help="transition-table JSON file")
+    p.add_argument("--episode", type=int, default=0,
+                   help="episode of the trace file to print (default 0)")
 
     with_manifest("export-metrics", "recompute metrics CSVs from saved traces")
     return parser
@@ -54,7 +56,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "render":
-            return cmd_render(Path(args.trace), Path(args.table))
+            return cmd_render(Path(args.trace), Path(args.table), args.episode)
         manifest = load_manifest(args.manifest)
         if args.out:
             manifest.out_dir = Path(args.out)
@@ -169,15 +171,14 @@ def cmd_train(manifest: RunManifest) -> int:
     q = QTable(table.n_states, table.n_actions)
     traces = train(env, manifest.learner, q, record_steps=emit.traces)
     if emit.traces:
-        traces = list(traces)  # the trace files are written after training
+        traces = list(traces)  # the trace file is written after training
     series = metrics.compute_metrics(traces)
 
     out = _ensure_dir(manifest.out_dir)
     # an earlier run's files that this run does not rewrite would pair with
-    # this run's q-table; its trace files would join this run's in
-    # export-metrics
-    trace_dir = out / "traces"
-    stale = [*trace_dir.glob("episode_*.csv"), out / "eval_report.json"]
+    # this run's q-table, its traces included
+    trace_path = out / "traces.csv"
+    stale = [trace_path, out / "eval_report.json"]
     if not emit.metrics:
         stale += [out / "mean_cumulative.csv", out / "episodic.csv"]
     if not emit.plots:
@@ -196,10 +197,8 @@ def cmd_train(manifest: RunManifest) -> int:
     if emit.metrics:
         print(f"metrics -> {out / 'mean_cumulative.csv'}, {out / 'episodic.csv'}")
     if emit.traces:
-        _ensure_dir(trace_dir)
-        for i, trace in enumerate(traces):
-            metrics.write_trace_csv(trace_dir / f"episode_{i:05d}.csv", trace)
-        print(f"traces -> {trace_dir} ({len(traces)} files)")
+        metrics.write_trace_csv(trace_path, traces)
+        print(f"traces -> {trace_path} ({len(traces)} episodes)")
     if emit.plots:
         print(f"plots -> {out / 'mean_cumulative.svg'}, {out / 'episodic.svg'}")
 
@@ -233,30 +232,32 @@ def cmd_eval(manifest: RunManifest, episodes: int) -> int:
     return 0
 
 
-def cmd_render(trace_path: Path, table_path: Path) -> int:
-    """Print an episode's frames over its table's grid."""
+def cmd_render(trace_path: Path, table_path: Path, episode: int) -> int:
+    """Print the frames of one episode of a trace file over its table's grid."""
     for path in (trace_path, table_path):
         if not path.exists():
             raise EmptyInput(f"file not found: {path}")
-    trace = metrics.read_trace_csv(trace_path)
+    traces = metrics.read_trace_csv(trace_path)
+    if not (0 <= episode < len(traces)):
+        raise ConfigError(f"{trace_path} has no episode {episode} "
+                          f"(it holds episodes 0..{len(traces) - 1})")
     table = _load_table(table_path)
-    print(rendering.render_trace(trace, table))
+    print(rendering.render_trace(traces[episode], table))
     return 0
 
 
 def cmd_export_metrics(manifest: RunManifest) -> int:
-    """Recompute the metrics CSVs (and charts, with emit.plots) from trace
-    files saved by train."""
-    trace_dir = manifest.out_dir / "traces"
-    trace_files = sorted(trace_dir.glob("episode_*.csv")) if trace_dir.exists() else []
-    if not trace_files:
-        raise EmptyInput(f"no trace files under {trace_dir}; train with "
+    """Recompute the metrics CSVs (and charts, with emit.plots) from the
+    trace file saved by train."""
+    trace_path = manifest.out_dir / "traces.csv"
+    if not trace_path.exists():
+        raise EmptyInput(f"no trace file {trace_path}; train with "
                          "emit.traces enabled first")
-    series = metrics.compute_metrics(metrics.read_trace_csv(path)
-                                     for path in trace_files)
+    traces = metrics.read_trace_csv(trace_path)
+    series = metrics.compute_metrics(traces)
     out = _ensure_dir(manifest.out_dir)
     _write_metrics(out, series, True, manifest.emit.plots)
-    print(f"metrics over {len(trace_files)} traces -> {out / 'mean_cumulative.csv'}, "
+    print(f"metrics over {len(traces)} traces -> {out / 'mean_cumulative.csv'}, "
           f"{out / 'episodic.csv'}")
     return 0
 
@@ -316,7 +317,8 @@ def _ensure_dir(path: Path) -> Path:
 
 
 def _write_text(path: Path, text: str) -> None:
-    path.write_text(text + ("" if text.endswith("\n") else "\n"), encoding="utf-8")
+    with ingest._open_output(path) as handle:
+        handle.write(text + ("" if text.endswith("\n") else "\n"))
 
 
 def entrypoint() -> None:

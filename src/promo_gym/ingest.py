@@ -19,7 +19,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterator, NamedTuple, TextIO, get_type_hints
 
-from .errors import CalendarGap, HeaderMismatch, ParseError, RowError
+from .errors import CalendarGap, ConfigError, HeaderMismatch, ParseError, RowError
 
 ONLINE_STORE_ID = "ONLINE"  # fallback store for online rows without a zip mapping
 
@@ -221,9 +221,18 @@ def _read(source: str | Path | TextIO, cls, check=None) -> list:
     return records
 
 
+def _open_output(path: str | Path) -> TextIO:
+    """Open an output file for writing, as every writer does: UTF-8, lines
+    written as they are; a directory at the path raises ConfigError."""
+    try:
+        return open(path, "w", newline="", encoding="utf-8")
+    except IsADirectoryError:
+        raise ConfigError(f"output {path} is a directory, not a file") from None
+
+
 def _write_csv(target: str | Path | TextIO, header: list[str], rows) -> None:
     if isinstance(target, (str, Path)):
-        with open(target, "w", newline="", encoding="utf-8") as handle:
+        with _open_output(target) as handle:
             _write_csv(handle, header, rows)
         return
     # csv quotes a cell holding any character of the line terminator, so

@@ -21,10 +21,10 @@ from typing import TextIO
 import numpy as np
 
 from .errors import EmptyInput, RowError
-from .ingest import _open_rows, _source_name, _write_csv
+from .ingest import _open_output, _open_rows, _source_name, _write_csv
 from .learner import EpisodeTrace, TraceStep
 
-_TRACE_HEADER = ["step", "state", "action", "reward", "next_state", "done"]
+_TRACE_HEADER = ["episode", "step", "state", "action", "reward", "next_state", "done"]
 _DONE = {"true": True, "false": False}
 
 
@@ -99,28 +99,41 @@ def write_episodic_csv(target: str | Path | TextIO, series: MetricsSeries) -> No
                ((str(ep), repr(total)) for ep, total in enumerate(series.totals)))
 
 
-def write_trace_csv(target: str | Path | TextIO, trace: EpisodeTrace) -> None:
+def write_trace_csv(target: str | Path | TextIO,
+                    traces: Iterable[EpisodeTrace]) -> None:
+    """Write the steps of every episode as one CSV: episodes numbered 0..
+    in the order given, each one's rows adjacent and in step order."""
     _write_csv(target, _TRACE_HEADER,
-               ((str(i + 1), str(s.state), str(s.action), repr(s.reward),
+               ((str(episode), str(i), str(s.state), str(s.action), repr(s.reward),
                  str(s.next_state), "true" if s.done else "false")
-                for i, s in enumerate(trace.steps)))
+                for episode, trace in enumerate(traces)
+                for i, s in enumerate(trace.steps, start=1)))
 
 
-def read_trace_csv(source: str | Path | TextIO) -> EpisodeTrace:
-    """Read a trace file by the rules of every input CSV (ingest._open_rows).
-    Its rows must be one episode: steps numbered 1..n, finite rewards,
-    each state the previous row's next_state, and done on the last row
-    only."""
+def read_trace_csv(source: str | Path | TextIO) -> list[EpisodeTrace]:
+    """Read a trace file by the rules of every input CSV (ingest._open_rows)
+    into its episodes. The episode column starts at 0 and either stays or
+    rises by 1 from row to row. Each episode's rows have steps numbered
+    1..n, finite rewards, each state the previous row's next_state, and
+    done on the last row only."""
+    traces: list[EpisodeTrace] = []
     steps: list[TraceStep] = []
+    episode = 0
     for row_num, row in _open_rows(source, _TRACE_HEADER):
         try:
-            number, state, action, reward, next_state, done = row
-            number = int(number)
-            step = TraceStep(state=int(state), action=int(action),
-                             reward=float(reward), next_state=int(next_state),
-                             done=_DONE[done])
+            label, number, state, action, reward, next_state, done = row
+            label, number = int(label), int(number)
+            step = TraceStep(int(state), int(action), float(reward), int(next_state),
+                             _DONE[done])
         except (ValueError, KeyError):
             raise RowError(f"not a trace row: {','.join(row)!r}", row_num) from None
+        if label != episode:
+            if not steps or label != episode + 1:
+                expected = f"{episode} or {episode + 1}" if steps else f"{episode}"
+                raise RowError(f"episode {label}, expected episode {expected}", row_num)
+            traces.append(EpisodeTrace.from_steps(steps))
+            steps = []
+            episode = label
         if number != len(steps) + 1:
             raise RowError(f"step {number}, expected step {len(steps) + 1}", row_num)
         if not math.isfinite(step.reward):
@@ -133,7 +146,8 @@ def read_trace_csv(source: str | Path | TextIO) -> EpisodeTrace:
         steps.append(step)
     if not steps:  # an episode takes at least one step
         raise EmptyInput(f"{_source_name(source)}: trace has no steps")
-    return EpisodeTrace.from_steps(steps)
+    traces.append(EpisodeTrace.from_steps(steps))
+    return traces
 
 
 # --- self-contained SVG line chart ----------------------------------------------
@@ -189,7 +203,7 @@ def write_line_chart_svg(target: str | Path, xs: Sequence[float], ys: Sequence[f
         '<polyline points="',
     ]
     coords = (f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
-    with open(target, "w", encoding="utf-8") as handle:
+    with _open_output(target) as handle:
         handle.write("\n".join(head))
         handle.write(next(coords))
         handle.writelines(" " + c for c in coords)

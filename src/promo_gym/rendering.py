@@ -39,10 +39,10 @@ def render_trace(trace: EpisodeTrace, table: TransitionTable) -> str:
 
     for i, step in enumerate(trace.steps):
         _check_state(step.next_state, table)
-        if promo_style:
-            action = ACTION_NAMES.get(step.action, str(step.action))
-        else:
-            action = str(step.action)
+        if not (0 <= step.action < table.n_actions):
+            raise InvalidState(f"trace step {i + 1} takes action {step.action}, "
+                               f"table has 0..{table.n_actions - 1}")
+        action = ACTION_NAMES[step.action] if promo_style else str(step.action)
         note = f"step {i + 1}: {action}  reward={step.reward:g}  " \
                f"total={trace.cumulative[i]:g}"
         if step.done and step.reward > 0:

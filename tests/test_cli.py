@@ -12,6 +12,8 @@ from promo_gym.cli import build_parser, main
 from promo_gym.frozen_lake import make_frozen_lake
 from promo_gym.ingest import read_daily_series
 from promo_gym.learner import QTable, qtable_to_json
+from promo_gym.metrics import read_trace_csv
+from promo_gym.rendering import render_trace
 from promo_gym.tables import deserialize, serialize
 
 RX_HEADER = "store_id,product_id,date,eod_sales_qty,qty_uom"
@@ -326,10 +328,10 @@ class TestTrainCommand:
         written = [(out / name).read_bytes() for name in names]
         assert main(["export-metrics", "--manifest", str(built_run)]) == 0
         assert [(out / name).read_bytes() for name in names] == written
-        assert len(list((out / "traces").glob("episode_*.csv"))) == 100
+        assert len(read_trace_csv(out / "traces.csv")) == 100
         set_fields(built_run, "emit", traces=False)
         assert main(["train", "--manifest", str(built_run)]) == 0
-        assert list((out / "traces").glob("episode_*.csv")) == []
+        assert not (out / "traces.csv").exists()
 
     @pytest.mark.parametrize("emit_off, names", [
         ("metrics", ["mean_cumulative.csv", "episodic.csv"]),
@@ -365,7 +367,7 @@ class TestTrainCommand:
             "out_dir": "table_out",
         }))
         assert main(["train", "--manifest", str(built_run)]) == 0
-        trace = tmp_path / "out" / "traces" / "episode_00000.csv"
+        trace = tmp_path / "out" / "traces.csv"
         capsys.readouterr()
         for argv in (["build", "--manifest", str(manifest)],
                      ["train", "--manifest", str(manifest)],
@@ -441,13 +443,39 @@ class TestMistypedArtifact:
 class TestRenderCommand:
     def test_render_trace(self, built_run, tmp_path, capsys):
         main(["train", "--manifest", str(built_run)])
-        trace = next(iter(sorted((tmp_path / "out" / "traces").glob("*.csv"))))
+        trace = tmp_path / "out" / "traces.csv"
         capsys.readouterr()  # drop the train output
         assert main(["render", "--trace", str(trace),
                      "--table", str(tmp_path / "out" / "table.json")]) == 0
         out = capsys.readouterr().out
         assert out.startswith("Mon Tue Wed Thu Fri Sat Sun")
         assert "step 1:" in out
+
+    def test_episode_picks_the_rendered_episode(self, built_run, tmp_path, capsys):
+        """--episode N prints the frames of the file's episode N, and the
+        default is episode 0."""
+        main(["train", "--manifest", str(built_run)])
+        out = tmp_path / "out"
+        traces = read_trace_csv(out / "traces.csv")
+        table = deserialize((out / "table.json").read_text())
+        capsys.readouterr()
+        for episode in (None, 0, 1, len(traces) - 1):
+            argv = ["render", "--trace", str(out / "traces.csv"),
+                    "--table", str(out / "table.json")]
+            if episode is not None:
+                argv += ["--episode", str(episode)]
+            assert main(argv) == 0
+            assert capsys.readouterr().out == \
+                render_trace(traces[episode or 0], table) + "\n"
+
+    def test_action_outside_table_exit_2(self, tmp_path, capsys):
+        """An action the table does not have exits 2, naming the action and
+        the table's range, rather than printing as a number."""
+        for action in (4, -1):
+            content = TRACE_HEADER + f"0,1,0,{action},0.0,4,false\n".encode()
+            assert main(trace_argv(tmp_path, "render", content)) == 2
+            err = capsys.readouterr().err
+            assert f"trace step 1 takes action {action}, table has 0..3" in err
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
         assert main(["render", "--trace", str(tmp_path / "nope.csv"),
@@ -468,8 +496,8 @@ class TestRenderCommand:
         table = tmp_path / "table.json"
         table.write_text(json.dumps(doc))
         trace = tmp_path / "trace.csv"
-        trace.write_text("step,state,action,reward,next_state,done\n"
-                         "1,0,1,0.0,4,false\n")
+        trace.write_text("episode,step,state,action,reward,next_state,done\n"
+                         "0,1,0,1,0.0,4,false\n")
         assert main(["render", "--trace", str(trace), "--table", str(table)]) == 2
         assert "error" in capsys.readouterr().err
 
@@ -495,8 +523,8 @@ class TestNumberBeyondRange:
             argv = ["build", "--manifest", str(manifest)]
         else:
             trace = tmp_path / "trace.csv"
-            trace.write_text("step,state,action,reward,next_state,done\n"
-                             "1,0,1,0.0,4,false\n")
+            trace.write_text("episode,step,state,action,reward,next_state,done\n"
+                             "0,1,0,1,0.0,4,false\n")
             argv = ["render", "--trace", str(trace), "--table", str(table)]
         assert main(argv) == 2
         assert "out of range" in capsys.readouterr().err
@@ -556,59 +584,74 @@ class TestTableKeysAndCounts:
         assert capsys.readouterr().err.startswith("error: ")
 
 
-def trace_argv(tmp_path: Path, command: str, content: bytes) -> list[str]:
-    """Write content as the one trace beside a frozen-lake table, and
-    return the argv that runs command over it."""
+def trace_argv(tmp_path: Path, command: str, content: bytes,
+               episode: int | None = None) -> list[str]:
+    """Write content as the run's trace file beside a frozen-lake table, and
+    return the argv that runs command over it (render with --episode when
+    episode is given)."""
     table = tmp_path / "out" / "table.json"
-    (tmp_path / "out" / "traces").mkdir(parents=True, exist_ok=True)
+    (tmp_path / "out").mkdir(parents=True, exist_ok=True)
     table.write_text(serialize(make_frozen_lake(slippery=False)))
-    trace = tmp_path / "out" / "traces" / "episode_00000.csv"
+    trace = tmp_path / "out" / "traces.csv"
     trace.write_bytes(content)
     manifest = write_manifest(tmp_path, {"environment": {"kind": "frozen-lake"},
                                          "out_dir": "out", "emit": {"plots": True}})
-    return {"render": ["render", "--trace", str(trace), "--table", str(table)],
+    render = ["render", "--trace", str(trace), "--table", str(table)]
+    if episode is not None:
+        render += ["--episode", str(episode)]
+    return {"render": render,
             "export-metrics": ["export-metrics", "--manifest", str(manifest)]}[command]
 
 
-TRACE_HEADER = b"step,state,action,reward,next_state,done\n"
+TRACE_HEADER = b"episode,step,state,action,reward,next_state,done\n"
 
 
 class TestMalformedTrace:
     @pytest.mark.parametrize("command", ["render", "export-metrics"])
     @pytest.mark.parametrize("row", [
-        "2,4,x,0.0,8,false",
-        "2,4,1,0.0",
-        "2,4,1,0.0,8,maybe",
-    ], ids=["non-integer", "short-row", "done-maybe"])
+        "0,2,4,x,0.0,8,false",
+        "0,2,4,1,0.0",
+        "0,2,4,1,0.0,8,maybe",
+        "x,2,4,1,0.0,8,false",
+    ], ids=["non-integer", "short-row", "done-maybe", "non-integer-episode"])
     def test_bad_trace_row_exit_2(self, tmp_path, capsys, command, row):
-        content = TRACE_HEADER + f"1,0,1,0.0,4,false\n{row}\n".encode()
+        content = TRACE_HEADER + f"0,1,0,1,0.0,4,false\n{row}\n".encode()
         assert main(trace_argv(tmp_path, command, content)) == 2
         assert "row 3: not a trace row" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["render", "export-metrics"])
     @pytest.mark.parametrize("row, message", [
-        (b"2,4,1," + b"0" * 200_000 + b",8,false", "line 3: field larger than field limit"),
-        (b"2,4,1,0.0,8,f\xffalse", "episode_00000.csv: not UTF-8 text"),
+        (b"0,2,4,1," + b"0" * 200_000 + b",8,false", "line 3: field larger than field limit"),
+        (b"0,2,4,1,0.0,8,f\xffalse", "traces.csv: not UTF-8 text"),
     ], ids=["oversized-field", "non-utf8-byte"])
     def test_unreadable_trace_exit_2(self, tmp_path, capsys, command, row, message):
-        content = TRACE_HEADER + b"1,0,1,0.0,4,false\n" + row + b"\n"
+        content = TRACE_HEADER + b"0,1,0,1,0.0,4,false\n" + row + b"\n"
         assert main(trace_argv(tmp_path, command, content)) == 2
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["render", "export-metrics"])
     @pytest.mark.parametrize("rows, message", [
-        ("1,0,1,nan,4,false", "row 2: reward 'nan' is not finite"),
-        ("1,0,1,1e999,4,false", "row 2: reward '1e999' is not finite"),
-        ("1,0,1,-inf,4,false", "row 2: reward '-inf' is not finite"),
-        ("1,0,1,0.0,4,true\n2,4,1,0.0,8,false",
+        ("0,1,0,1,nan,4,false", "row 2: reward 'nan' is not finite"),
+        ("0,1,0,1,1e999,4,false", "row 2: reward '1e999' is not finite"),
+        ("0,1,0,1,-inf,4,false", "row 2: reward '-inf' is not finite"),
+        ("0,1,0,1,0.0,4,true\n0,2,4,1,0.0,8,false",
          "row 3: a step after the step that ended the episode"),
-        ("0,0,1,0.0,4,false", "row 2: step 0, expected step 1"),
-        ("1,0,1,0.0,4,false\n3,4,1,0.0,8,false", "row 3: step 3, expected step 2"),
-        ("1,0,1,0.0,4,false\n1,4,1,0.0,8,false", "row 3: step 1, expected step 2"),
-        ("1,0,1,0.0,4,false\n2,5,1,0.0,9,false",
+        ("0,0,0,1,0.0,4,false", "row 2: step 0, expected step 1"),
+        ("0,1,0,1,0.0,4,false\n0,3,4,1,0.0,8,false", "row 3: step 3, expected step 2"),
+        ("0,1,0,1,0.0,4,false\n0,1,4,1,0.0,8,false", "row 3: step 1, expected step 2"),
+        ("0,1,0,1,0.0,4,false\n0,2,5,1,0.0,9,false",
          "row 3: state 5 is not the previous row's next_state 4"),
+        ("1,1,0,1,0.0,4,false", "row 2: episode 1, expected episode 0"),
+        ("0,1,0,1,0.0,4,true\n2,1,0,1,0.0,4,true",
+         "row 3: episode 2, expected episode 0 or 1"),
+        ("0,1,0,1,0.0,4,true\n1,1,0,1,0.0,4,true\n0,1,0,1,0.0,4,true",
+         "row 4: episode 0, expected episode 1 or 2"),
+        ("0,1,0,1,0.0,4,true\n1,2,4,1,0.0,8,false",
+         "row 3: step 2, expected step 1"),
     ], ids=["reward-nan", "reward-overflow", "reward-minus-inf", "done-before-last",
-            "step-from-0", "step-skipped", "step-repeated", "state-not-next-state"])
+            "step-from-0", "step-skipped", "step-repeated", "state-not-next-state",
+            "episode-from-1", "episode-skipped", "episode-comes-back",
+            "episode-not-from-step-1"])
     def test_inconsistent_trace_exit_2(self, tmp_path, capsys, command, rows, message):
         content = TRACE_HEADER + f"{rows}\n".encode()
         assert main(trace_argv(tmp_path, command, content)) == 2
@@ -617,21 +660,24 @@ class TestMalformedTrace:
     @pytest.mark.parametrize("command", ["render", "export-metrics"])
     def test_header_only_trace_exit_2(self, tmp_path, capsys, command):
         assert main(trace_argv(tmp_path, command, TRACE_HEADER)) == 2
-        assert "episode_00000.csv: trace has no steps" in capsys.readouterr().err
+        assert "traces.csv: trace has no steps" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["render", "export-metrics"])
     @pytest.mark.parametrize("content, message", [
-        (b"step,state,action,reward,next,done\n1,0,1,0.0,4,false\n",
-         "episode_00000.csv: header 'step,state,action,reward,next,done' does not match"),
-        (b"", "episode_00000.csv: file is empty"),
-    ], ids=["wrong-header", "empty-file"])
+        (b"episode,step,state,action,reward,next,done\n0,1,0,1,0.0,4,false\n",
+         "traces.csv: header 'episode,step,state,action,reward,next,done' does not match"),
+        (b"step,state,action,reward,next_state,done\n1,0,1,0.0,4,false\n",
+         "traces.csv: header 'step,state,action,reward,next_state,done' does not match"),
+        (b"", "traces.csv: file is empty"),
+    ], ids=["wrong-header", "per-episode-header", "empty-file"])
     def test_bad_header_exit_2(self, tmp_path, capsys, command, content, message):
         assert main(trace_argv(tmp_path, command, content)) == 2
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["render", "export-metrics"])
     def test_crlf_trace_reads_as_lf(self, tmp_path, capsys, command):
-        lf = TRACE_HEADER + b"1,0,2,0.0,1,false\n2,1,2,0.5,2,false\n3,2,1,1.0,6,true\n"
+        lf = TRACE_HEADER + (b"0,1,0,2,0.0,1,false\n0,2,1,2,0.5,2,false\n"
+                             b"0,3,2,1,1.0,6,true\n1,1,0,2,-1.0,1,false\n")
         names = ["mean_cumulative.csv", "episodic.csv", "mean_cumulative.svg",
                  "episodic.svg"] if command == "export-metrics" else []
         outputs = []
@@ -640,6 +686,13 @@ class TestMalformedTrace:
             outputs.append([capsys.readouterr().out,
                             *[(tmp_path / "out" / name).read_bytes() for name in names]])
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("episode", [2, 7, -1])
+    def test_episode_not_in_file_exit_2(self, tmp_path, capsys, episode):
+        content = TRACE_HEADER + b"0,1,0,2,0.0,1,false\n1,1,0,2,0.0,1,false\n"
+        assert main(trace_argv(tmp_path, "render", content, episode)) == 2
+        err = capsys.readouterr().err
+        assert f"traces.csv has no episode {episode} (it holds episodes 0..1)" in err
 
 
 def short_fixture_manifest(tmp_path: Path, fixtures_dir: Path, name: str,
@@ -673,8 +726,8 @@ class TestPipelineClosure:
                                           "manifest_traces.json", 50)
         for command in ("ingest", "build", "train"):
             assert main([command, "--manifest", manifest, "--out", str(out)]) == 0
-        assert main(["render", "--trace", str(out / "traces" / "episode_00000.csv"),
-                     "--table", str(out / "table.json")]) == 0
+        assert main(["render", "--trace", str(out / "traces.csv"),
+                     "--table", str(out / "table.json"), "--episode", "0"]) == 0
         assert main(["export-metrics", "--manifest", manifest, "--out", str(out)]) == 0
 
 
@@ -718,6 +771,28 @@ class TestPathFaults:
         assert err.startswith("error: ")
         assert str(path) in err
 
+    @pytest.mark.parametrize("name, command", [
+        ("q_table.json", "train"),
+        ("episodic.csv", "train"),
+        ("traces.csv", "train"),
+        ("eval_report.json", "eval"),
+    ])
+    def test_output_file_is_directory_exit_2(self, tmp_path, capsys, name, command):
+        """A directory where a stage writes one of its files exits 2 naming
+        the path, not 1 with a traceback."""
+        manifest = write_manifest(tmp_path, {
+            "environment": {"kind": "frozen-lake"}, "learner": {"episodes": 20},
+            "out_dir": "out", "emit": {"metrics": True, "traces": True}})
+        assert main(["build", "--manifest", str(manifest)]) == 0
+        if command == "eval":
+            assert main(["train", "--manifest", str(manifest)]) == 0
+        path = tmp_path / "out" / name
+        path.mkdir()
+        capsys.readouterr()
+        assert main([command, "--manifest", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: output {path} is a directory, not a file\n"
+
 
 def readme_options() -> set[str]:
     """Every --option token in README.md, bar the pip install line's."""
@@ -747,7 +822,7 @@ class TestReadmeOptions:
         run = {"--manifest", "--out"}
         assert parser_options() == {
             "ingest": run, "build": run, "train": run, "eval": run | {"--episodes"},
-            "render": {"--trace", "--table"}, "export-metrics": run,
+            "render": {"--trace", "--table", "--episode"}, "export-metrics": run,
         }
 
 

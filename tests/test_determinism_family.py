@@ -88,9 +88,9 @@ def run_pipeline(run: dict, workdir: Path, commands=None) -> tuple[dict, list[st
             assert main(argv + ["--manifest", str(manifest)]) == 0, argv
         if run["emit"]["traces"] and ["train"] in commands:
             last = run["learner"]["episodes"] - 1
-            assert main(["render", "--trace",
-                         str(out / "traces" / f"episode_{last:05d}.csv"),
-                         "--table", str(out / "table.json")]) == 0
+            assert main(["render", "--trace", str(out / "traces.csv"),
+                         "--table", str(out / "table.json"),
+                         "--episode", str(last)]) == 0
     files = {path.relative_to(workdir).as_posix(): path.read_bytes()
              for path in sorted(workdir.rglob("*")) if path.is_file()}
     return files, printed.getvalue().replace(str(workdir), "<run>").splitlines()

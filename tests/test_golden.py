@@ -5,6 +5,10 @@ bundled fixtures with traces and plots on, and pins the SHA-256 of every
 artifact and of the rendered episode. A refactor that claims to keep the
 outputs unchanged must leave these hashes alone; a change that means to
 alter the outputs updates them and says why.
+
+Traces were once written one file per episode (`traces/episode_00000.csv`,
+...). EPISODE_FILES pins two of those files, as the one trace file holds
+them: split by episode with the episode column dropped.
 """
 
 import hashlib
@@ -36,6 +40,11 @@ GOLDEN = {
     "render":
         "dc126618e34e8db1b8b45958e4bfee4a578677be4842a5b30c957f294258bc1e",
 }
+TRACES_CSV = "662b5f3db0f209c033e4bb25b4c19f56290dfbdf436b9b02d69b2764d623ad52"
+EPISODE_FILES = {
+    0: "ce27b7d7ca02f7ebab128fc721918a5acd190f7f26e1b7c5f79a9275184546ac",
+    299: "c5d9c46530b3b96b1c742f356c87c19181aa6f55697855da5b0b5041e474bbcf",
+}
 INGEST_BUILD_OUTPUTS = ("daily_series.csv", "binning_model.json", "grid_spec.json",
                         "table.json")
 TRAIN_OUTPUTS = ("q_table.json", "mean_cumulative.csv", "episodic.csv",
@@ -44,6 +53,19 @@ TRAIN_OUTPUTS = ("q_table.json", "mean_cumulative.csv", "episodic.csv",
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def episode_files(traces_csv: bytes) -> dict[int, bytes]:
+    """The one trace file split into the per-episode files it replaced:
+    each episode's rows, episode column dropped, under the old header."""
+    header, *rows = traces_csv.splitlines(keepends=True)
+    assert header == b"episode,step,state,action,reward,next_state,done\n"
+    files: dict[int, bytes] = {}
+    for row in rows:
+        episode, rest = row.split(b",", 1)
+        files.setdefault(int(episode), b"step,state,action,reward,next_state,done\n")
+        files[int(episode)] += rest
+    return files
 
 
 def test_fixture_pipeline_bytes(fixtures_dir, tmp_path, capsys):
@@ -63,6 +85,7 @@ def test_fixture_pipeline_bytes(fixtures_dir, tmp_path, capsys):
         if argv == ["train"]:
             got.update({name: _sha256((out / name).read_bytes())
                         for name in TRAIN_OUTPUTS})
+            traces_csv = (out / "traces.csv").read_bytes()
     got.update({name: _sha256((out / name).read_bytes())
                 for name in INGEST_BUILD_OUTPUTS})
     got["eval_report.json"] = _sha256((out / "eval_report.json").read_bytes())
@@ -72,8 +95,12 @@ def test_fixture_pipeline_bytes(fixtures_dir, tmp_path, capsys):
         assert _sha256((out / name).read_bytes()) == got[name], name
 
     capsys.readouterr()
-    assert main(["render", "--trace", str(out / "traces" / "episode_00000.csv"),
-                 "--table", str(out / "table.json")]) == 0
+    assert main(["render", "--trace", str(out / "traces.csv"),
+                 "--table", str(out / "table.json"), "--episode", "0"]) == 0
     got["render"] = _sha256(capsys.readouterr().out.encode("utf-8"))
 
     assert got == GOLDEN
+    assert _sha256(traces_csv) == TRACES_CSV
+    files = episode_files(traces_csv)
+    assert sorted(files) == list(range(300))
+    assert {i: _sha256(files[i]) for i in EPISODE_FILES} == EPISODE_FILES

@@ -167,36 +167,79 @@ class TestCsvEmission:
     def test_trace_round_trip(self):
         trace = trace_from_rewards([-1, -1, 20])
         buf = io.StringIO()
-        write_trace_csv(buf, trace)
+        write_trace_csv(buf, [trace])
         lines = buf.getvalue().splitlines()
-        assert lines[0] == "step,state,action,reward,next_state,done"
+        assert lines[0] == "episode,step,state,action,reward,next_state,done"
+        assert lines[1] == "0,1,0,0,-1.0,1,false"
         again = read_trace_csv(io.StringIO(buf.getvalue()))
-        assert again == trace
+        assert again == [trace]
 
     def test_truncated_trace_round_trip(self):
         trace = trace_from_rewards([-1, -1], done_last=False)
         buf = io.StringIO()
-        write_trace_csv(buf, trace)
-        again = read_trace_csv(io.StringIO(buf.getvalue()))
+        write_trace_csv(buf, [trace])
+        [again] = read_trace_csv(io.StringIO(buf.getvalue()))
         assert again.truncated
         assert again == trace
 
+    def test_episodes_numbered_in_order(self):
+        traces = [trace_from_rewards([1, 2]), trace_from_rewards([3], done_last=False),
+                  trace_from_rewards([4, 5, 6])]
+        buf = io.StringIO()
+        write_trace_csv(buf, iter(traces))
+        rows = [line.split(",")[:2] for line in buf.getvalue().splitlines()[1:]]
+        assert rows == [["0", "1"], ["0", "2"], ["1", "1"], ["2", "1"], ["2", "2"],
+                        ["2", "3"]]
+        assert read_trace_csv(io.StringIO(buf.getvalue())) == traces
 
     def test_trace_without_recorded_steps_is_not_written(self):
         unrecorded = EpisodeTrace(steps=None, cumulative=[-1.0], total_reward=-1.0,
                                   truncated=True)
         buffer = io.StringIO()
         with pytest.raises(TypeError):
-            write_trace_csv(buffer, unrecorded)
+            write_trace_csv(buffer, [unrecorded])
 
     def test_negative_zero_reward_totals_positive_zero(self):
         buffer = io.StringIO()
-        write_trace_csv(buffer, trace_from_rewards([-0.0]))
+        write_trace_csv(buffer, [trace_from_rewards([-0.0])])
         buffer.seek(0)
-        trace = read_trace_csv(buffer)
+        [trace] = read_trace_csv(buffer)
         assert trace.steps[0].reward == 0.0
         assert [str(v) for v in trace.cumulative] == ["0.0"]
         assert str(trace.total_reward) == "0.0"
+
+
+@st.composite
+def recorded_traces(draw) -> EpisodeTrace:
+    """One episode of 1-8 chained steps with finite rewards, -0.0 among
+    them, that ends in done or is truncated."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    states = draw(st.lists(st.integers(0, 60), min_size=n + 1, max_size=n + 1))
+    actions = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    rewards = draw(st.lists(_reward, min_size=n, max_size=n))
+    done = draw(st.booleans())
+    return EpisodeTrace.from_steps([
+        TraceStep(state=states[i], action=actions[i], reward=rewards[i],
+                  next_state=states[i + 1], done=done and i == n - 1)
+        for i in range(n)])
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(recorded_traces(), min_size=1, max_size=12))
+@example([EpisodeTrace.from_steps([TraceStep(0, 0, -0.0, 1, False)])])
+def test_trace_file_round_trip(traces):
+    """Reading back a written trace file gives every episode's steps, running
+    totals, total and truncation, to the bit."""
+    buffer = io.StringIO()
+    write_trace_csv(buffer, traces)
+    again = read_trace_csv(io.StringIO(buffer.getvalue()))
+    assert len(again) == len(traces)
+    for got, want in zip(again, traces):
+        assert got.steps == want.steps
+        assert hexed(s.reward for s in got.steps) == hexed(s.reward for s in want.steps)
+        assert hexed(got.cumulative) == hexed(want.cumulative)
+        assert float.hex(got.total_reward) == float.hex(want.total_reward)
+        assert got.truncated == want.truncated
 
 
 class TestSvg:
