@@ -20,6 +20,16 @@ from .learner import QTable, evaluate_greedy, qtable_from_json, qtable_to_json, 
 from .manifest import RunManifest, load_manifest
 from .tables import TabularEnv
 
+# The files each stage writes into the output directory, in pipeline order.
+# A stage removes its own and every later stage's before its first write.
+OUTPUTS = {
+    "ingest": ("daily_series.csv", "binning_model.json"),
+    "build": ("grid_spec.json", "table.json"),
+    "train": ("q_table.json", "traces.csv", "mean_cumulative.csv", "episodic.csv",
+              "mean_cumulative.svg", "episodic.svg"),
+    "eval": ("eval_report.json",),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -107,7 +117,7 @@ def cmd_ingest(manifest: RunManifest) -> int:
     series = ingest.unify(online, rx, promos, holidays, zip_map)
     model = binning.fit_bins([rec.units_sold for rec in series])
 
-    out = _ensure_dir(manifest.out_dir)
+    out = _clear_outputs(manifest.out_dir, "ingest")
     series_path = out / "daily_series.csv"
     model_path = out / "binning_model.json"
     ingest.write_daily_series(series_path, series)
@@ -121,16 +131,16 @@ def cmd_ingest(manifest: RunManifest) -> int:
 def cmd_build(manifest: RunManifest) -> int:
     """Build (or validate) the transition table and write it to out/."""
     env_choice = manifest.environment
-    out = _ensure_dir(manifest.out_dir)
-
+    spec = _resolve_grid_spec(manifest) if env_choice.kind == "promo" else None
     if env_choice.kind == "table":
         table = _load_run_table(manifest)
-    elif env_choice.kind == "frozen-lake":
-        table = _validated(make_frozen_lake(slippery=env_choice.slippery), "built table")
     else:
-        spec = _resolve_grid_spec(manifest)
+        table = _validated(make_frozen_lake(slippery=env_choice.slippery)
+                           if spec is None else promoenv.build_promo_mdp(spec),
+                           "built table")
+    out = _clear_outputs(manifest.out_dir, "build")
+    if spec is not None:
         _write_text(out / "grid_spec.json", promoenv.spec_to_json(spec))
-        table = _validated(promoenv.build_promo_mdp(spec), "built table")
     table_path = out / "table.json"
     _write_text(table_path, tables.serialize(table))
     print(f"table: {table.n_states} states x {table.n_actions} actions, "
@@ -145,12 +155,8 @@ def _resolve_grid_spec(manifest: RunManifest) -> promoenv.PromoGridSpec:
     if env_choice.grid_spec_path is not None:
         return promoenv.spec_from_json(jsondoc.read(env_choice.grid_spec_path))
     # derive from ingest outputs
-    series_path = manifest.out_dir / "daily_series.csv"
-    model_path = manifest.out_dir / "binning_model.json"
-    for path in (series_path, model_path):
-        if not path.exists():
-            raise EmptyInput(f"{path} missing; run `promo-gym ingest` first "
-                             "or give the manifest an explicit grid_spec")
+    series_path = _run_file(manifest.out_dir, "daily_series.csv")
+    model_path = _run_file(manifest.out_dir, "binning_model.json")
     if env_choice.target_week is None:
         raise EmptyInput("deriving a promo grid needs environment.target_week")
     manifest.require_inputs("promo_plan")
@@ -174,21 +180,7 @@ def cmd_train(manifest: RunManifest) -> int:
         traces = list(traces)  # the trace file is written after training
     series = metrics.compute_metrics(traces)
 
-    out = _ensure_dir(manifest.out_dir)
-    # an earlier run's files that this run does not rewrite would pair with
-    # this run's q-table, its traces included
-    trace_path = out / "traces.csv"
-    stale = [trace_path, out / "eval_report.json"]
-    if not emit.metrics:
-        stale += [out / "mean_cumulative.csv", out / "episodic.csv"]
-    if not emit.plots:
-        stale += [out / "mean_cumulative.svg", out / "episodic.svg"]
-    for path in stale:
-        try:
-            path.unlink(missing_ok=True)
-        except IsADirectoryError:
-            raise ConfigError(f"output {path} is a directory, not a file") from None
-
+    out = _clear_outputs(manifest.out_dir, "train")
     q_path = out / "q_table.json"
     _write_text(q_path, qtable_to_json(q))
     print(f"trained {manifest.learner.episodes} episodes "
@@ -197,6 +189,7 @@ def cmd_train(manifest: RunManifest) -> int:
     if emit.metrics:
         print(f"metrics -> {out / 'mean_cumulative.csv'}, {out / 'episodic.csv'}")
     if emit.traces:
+        trace_path = out / "traces.csv"
         metrics.write_trace_csv(trace_path, traces)
         print(f"traces -> {trace_path} ({len(traces)} episodes)")
     if emit.plots:
@@ -216,14 +209,11 @@ def cmd_eval(manifest: RunManifest, episodes: int) -> int:
         raise EmptyInput(f"episode count must be >= 0, got {episodes}")
     table = _load_run_table(manifest)
     env = TabularEnv(table)
-    q_path = manifest.out_dir / "q_table.json"
-    if not q_path.exists():
-        raise EmptyInput(f"q-table not found: {q_path} (run `promo-gym train`)")
-    q = qtable_from_json(jsondoc.read(q_path))
+    q = qtable_from_json(jsondoc.read(_run_file(manifest.out_dir, "q_table.json")))
     report = evaluate_greedy(env, q, episodes=episodes,
                              max_steps=manifest.learner.max_steps_per_episode,
                              seed=manifest.learner.seed)
-    out = _ensure_dir(manifest.out_dir)
+    out = _clear_outputs(manifest.out_dir, "eval")
     report_path = out / "eval_report.json"
     _write_text(report_path, json.dumps(report, indent=1))
     for key, value in report.items():
@@ -248,14 +238,10 @@ def cmd_render(trace_path: Path, table_path: Path, episode: int) -> int:
 
 def cmd_export_metrics(manifest: RunManifest) -> int:
     """Recompute the metrics CSVs (and charts, with emit.plots) from the
-    trace file saved by train."""
-    trace_path = manifest.out_dir / "traces.csv"
-    if not trace_path.exists():
-        raise EmptyInput(f"no trace file {trace_path}; train with "
-                         "emit.traces enabled first")
-    traces = metrics.read_trace_csv(trace_path)
+    trace file saved by train; unlike the four stages, it clears nothing."""
+    traces = metrics.read_trace_csv(_run_file(manifest.out_dir, "traces.csv"))
     series = metrics.compute_metrics(traces)
-    out = _ensure_dir(manifest.out_dir)
+    out = manifest.out_dir
     _write_metrics(out, series, True, manifest.emit.plots)
     print(f"metrics over {len(traces)} traces -> {out / 'mean_cumulative.csv'}, "
           f"{out / 'episodic.csv'}")
@@ -271,9 +257,7 @@ def _load_run_table(manifest: RunManifest) -> tables.TransitionTable:
         if path is None:
             raise EmptyInput("environment kind 'table' needs table_path")
     else:
-        path = manifest.out_dir / "table.json"
-        if not path.exists():
-            raise EmptyInput(f"{path} missing; run `promo-gym build` first")
+        path = _run_file(manifest.out_dir, "table.json")
     return _load_table(Path(path))
 
 
@@ -307,12 +291,28 @@ def _write_metrics(out: Path, series: metrics.MetricsSeries, csvs: bool,
         )
 
 
-def _ensure_dir(path: Path) -> Path:
+def _clear_outputs(out: Path, stage: str) -> Path:
+    """Create the output directory; remove this and every later stage's files."""
     try:
-        path.mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
-        raise ConfigError(
-            f"output directory {path} is a file, or lies under one") from None
+        raise ConfigError(f"output directory {out} is a file, or lies under one") from None
+    stages = list(OUTPUTS)
+    for later in stages[stages.index(stage):]:
+        for path in (out / name for name in OUTPUTS[later]):
+            try:
+                path.unlink(missing_ok=True)
+            except IsADirectoryError:
+                raise ConfigError(f"output {path} is a directory, not a file") from None
+    return out
+
+
+def _run_file(out: Path, name: str) -> Path:
+    """An earlier stage's output file, which must exist."""
+    path = out / name
+    if not path.exists():
+        stage = next(stage for stage, names in OUTPUTS.items() if name in names)
+        raise EmptyInput(f"{path} missing; run `promo-gym {stage}` first")
     return path
 
 

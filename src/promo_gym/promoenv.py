@@ -19,6 +19,7 @@ moves -10 in state index, action 2 moves +10, action 3 self-loops.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from datetime import date, timedelta
 
@@ -212,7 +213,9 @@ def _goal_row(promo: PromoPlanRecord, promo_day: date,
     if realized is not None:
         units = realized
     elif promo.offer_price > 0:
-        units = round(promo.promo_target_amount / promo.offer_price)
+        units = promo.promo_target_amount / promo.offer_price
+        # an infinite quotient exceeds every boundary: assign_bin's top bin
+        units = round(units) if math.isfinite(units) else units
     else:
         units = promo.offer_qty
     return assign_bin(bins, units)

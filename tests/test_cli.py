@@ -233,6 +233,23 @@ class TestBuildCommand:
         assert main(["build", "--manifest", str(manifest)]) == 2
         assert "ingest" in capsys.readouterr().err
 
+    def test_overflowing_target_units_in_top_bin(self, tmp_path, fixtures_dir):
+        """A promotion whose target amount over its price is beyond float
+        range, with no realized units, sets its goal in the top bin."""
+        for name in ("manifest.json", "online_transactions.csv",
+                     "rx_transactions.csv", "holidays.csv"):
+            shutil.copy(fixtures_dir / name, tmp_path / name)
+        plan = (fixtures_dir / "promo_plan.csv").read_text().replace(
+            "PR-0003,Seasonal,E-300,2015-06-26,2015-06-28,150.0,S01,AD-13,P100,1,5.0,",
+            "PR-0003,Seasonal,E-300,2015-07-01,2015-07-03,1e308,S01,AD-13,P100,1,1e-10,")
+        assert "1e308" in plan
+        (tmp_path / "promo_plan.csv").write_text(plan)
+        manifest, out = str(tmp_path / "manifest.json"), tmp_path / "out"
+        for command in ("ingest", "build"):
+            assert main([command, "--manifest", manifest, "--out", str(out)]) == 0
+        spec = json.loads((out / "grid_spec.json").read_text())
+        assert [4, 7] in spec["goals"]
+
 
 def set_fields(manifest: Path, section: str, **fields) -> None:
     """Set fields of one section of the manifest file in place."""
@@ -296,7 +313,9 @@ class TestTrainCommand:
             "out_dir": "out",
         })
         assert main(["export-metrics", "--manifest", str(manifest)]) == 2
-        assert "trace" in capsys.readouterr().err
+        path = tmp_path / "out" / "traces.csv"
+        assert capsys.readouterr().err == \
+            f"error: {path} missing; run `promo-gym train` first\n"
 
 
     def test_export_metrics_rewrites_both_charts(self, built_run, tmp_path):
@@ -397,7 +416,9 @@ class TestEvalCommand:
 
     def test_missing_q_table_exit_2(self, built_run, capsys):
         assert main(["eval", "--manifest", str(built_run)]) == 2
-        assert "q-table" in capsys.readouterr().err
+        path = built_run.parent / "out" / "q_table.json"
+        assert capsys.readouterr().err == \
+            f"error: {path} missing; run `promo-gym train` first\n"
 
 
 class TestMistypedArtifact:
@@ -792,6 +813,77 @@ class TestPathFaults:
         assert main([command, "--manifest", str(manifest)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: output {path} is a directory, not a file\n"
+
+
+TRAIN_AND_EVAL_OUTPUTS = ("q_table.json", "traces.csv", "mean_cumulative.csv",
+                          "episodic.csv", "mean_cumulative.svg", "episodic.svg",
+                          "eval_report.json")
+
+
+class TestRunDirectory:
+    """Each stage removes its own and every later stage's files before it
+    writes, so out/ never pairs one run's file with another run's."""
+
+    def test_rebuild_clears_later_outputs(self, tmp_path, capsys):
+        """A table of the same shape (the lake made slippery) leaves no
+        q-table, trace, metrics, chart or report of the earlier table."""
+        manifest = write_manifest(tmp_path, {
+            "environment": {"kind": "frozen-lake", "slippery": False},
+            "learner": {"episodes": 20}, "out_dir": "out",
+            "emit": {"metrics": True, "traces": True, "plots": True}})
+        out = tmp_path / "out"
+        for argv in (["build"], ["train"], ["eval", "--episodes", "5"]):
+            assert main([*argv, "--manifest", str(manifest)]) == 0
+        assert all((out / name).exists() for name in TRAIN_AND_EVAL_OUTPUTS)
+        set_fields(manifest, "environment", slippery=True)
+        assert main(["build", "--manifest", str(manifest)]) == 0
+        assert [name for name in TRAIN_AND_EVAL_OUTPUTS if (out / name).exists()] == []
+        capsys.readouterr()
+        for command, name in (("eval", "q_table.json"), ("export-metrics", "traces.csv")):
+            assert main([command, "--manifest", str(manifest)]) == 2
+            assert capsys.readouterr().err == \
+                f"error: {out / name} missing; run `promo-gym train` first\n"
+
+    def test_switch_from_promo_clears_grid_spec(self, built_run, tmp_path):
+        out = tmp_path / "out"
+        assert (out / "grid_spec.json").exists()
+        doc = json.loads(built_run.read_text())
+        doc["environment"] = {"kind": "frozen-lake"}
+        built_run.write_text(json.dumps(doc))
+        assert main(["build", "--manifest", str(built_run)]) == 0
+        assert not (out / "grid_spec.json").exists()
+        assert deserialize((out / "table.json").read_text()).n_states == 16
+
+    def test_reingest_clears_table(self, tmp_path, fixtures_dir):
+        manifest = short_fixture_manifest(tmp_path, fixtures_dir, "manifest.json", 20)
+        out = tmp_path / "out"
+        for command in ("ingest", "build", "ingest"):
+            assert main([command, "--manifest", manifest, "--out", str(out)]) == 0
+        assert (out / "daily_series.csv").exists()
+        assert not (out / "table.json").exists()
+        assert not (out / "grid_spec.json").exists()
+
+    def test_build_reads_its_own_output_before_clearing(self, tmp_path):
+        """kind "table" may name out/table.json itself: build reads it before
+        it removes it, and writes the same bytes back."""
+        lake = write_manifest(tmp_path, {"environment": {"kind": "frozen-lake"},
+                                         "out_dir": "out"})
+        assert main(["build", "--manifest", str(lake)]) == 0
+        path = tmp_path / "out" / "table.json"
+        written = path.read_bytes()
+        manifest = write_manifest(tmp_path, {
+            "environment": {"kind": "table", "table_path": "out/table.json"},
+            "out_dir": "out"})
+        assert main(["build", "--manifest", str(manifest)]) == 0
+        assert path.read_bytes() == written
+
+    def test_export_metrics_clears_nothing(self, built_run, tmp_path):
+        out = tmp_path / "out"
+        assert main(["train", "--manifest", str(built_run)]) == 0
+        assert main(["eval", "--manifest", str(built_run), "--episodes", "5"]) == 0
+        report = (out / "eval_report.json").read_bytes()
+        assert main(["export-metrics", "--manifest", str(built_run)]) == 0
+        assert (out / "eval_report.json").read_bytes() == report
 
 
 def readme_options() -> set[str]:

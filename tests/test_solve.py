@@ -102,3 +102,36 @@ class TestValueIteration:
         assert not sol.converged
         assert sol.iterations == 3
         assert sol.residual >= 1e-10
+
+
+def policy_value(table: TransitionTable, policy: np.ndarray, gamma: float) -> np.ndarray:
+    """The exact value of a fixed policy: one linear solve over its chain,
+    V = r + gamma * P V, with terminating outcomes carrying no future value."""
+    n = table.n_states
+    expected_reward = np.zeros(n)
+    chain = np.zeros((n, n))
+    for s in range(n):
+        for e in table.outcomes[s][int(policy[s])]:
+            expected_reward[s] += e.probability * e.reward
+            if not e.done:
+                chain[s, e.next_state] += e.probability
+    return np.linalg.solve(np.eye(n) - gamma * chain, expected_reward)
+
+
+class TestStoppingCertificate:
+    """Stopping at residual eps bounds the greedy policy's loss by
+    2 * gamma * eps / (1 - gamma) (Williams & Baird, 1993)."""
+
+    def test_greedy_loss_within_bound(self, lake_table_slippery, reference_table):
+        losses = []
+        for table, gamma in ((lake_table_slippery, 0.9), (lake_table_slippery, 0.99),
+                             (reference_table, 0.9), (reference_table, 0.99)):
+            optimal = policy_value(table, value_iteration(table, gamma).policy, gamma)
+            for tol in (1e-1, 1e-2, 1e-3):
+                sol = value_iteration(table, gamma, tol=tol)
+                assert sol.converged
+                loss = np.max(optimal - policy_value(table, sol.policy, gamma))
+                assert loss <= 2 * gamma * sol.residual / (1 - gamma) + 1e-9, (gamma, tol)
+                losses.append(loss)
+        # the bound is tested against policies that are not all optimal
+        assert max(losses) > 0.1
