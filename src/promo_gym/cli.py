@@ -133,7 +133,9 @@ def cmd_build(manifest: RunManifest) -> int:
     env_choice = manifest.environment
     spec = _resolve_grid_spec(manifest) if env_choice.kind == "promo" else None
     if env_choice.kind == "table":
-        table = _load_run_table(manifest)
+        if env_choice.table_path is None:
+            raise EmptyInput("environment kind 'table' needs table_path")
+        table = _load_table(env_choice.table_path)
     else:
         table = _validated(make_frozen_lake(slippery=env_choice.slippery)
                            if spec is None else promoenv.build_promo_mdp(spec),
@@ -171,7 +173,7 @@ def _resolve_grid_spec(manifest: RunManifest) -> promoenv.PromoGridSpec:
 
 def cmd_train(manifest: RunManifest) -> int:
     """Train per the manifest's learner config; emit q-table and metrics."""
-    table = _load_run_table(manifest)
+    table = _load_table(_run_file(manifest.out_dir, "table.json"))
     emit = manifest.emit
     env = TabularEnv(table)
     q = QTable(table.n_states, table.n_actions)
@@ -207,7 +209,7 @@ def cmd_eval(manifest: RunManifest, episodes: int) -> int:
     """Greedy evaluation of out/q_table.json; writes eval_report.json."""
     if episodes < 0:
         raise EmptyInput(f"episode count must be >= 0, got {episodes}")
-    table = _load_run_table(manifest)
+    table = _load_table(_run_file(manifest.out_dir, "table.json"))
     env = TabularEnv(table)
     q = qtable_from_json(jsondoc.read(_run_file(manifest.out_dir, "q_table.json")))
     report = evaluate_greedy(env, q, episodes=episodes,
@@ -249,16 +251,6 @@ def cmd_export_metrics(manifest: RunManifest) -> int:
 
 
 # --- helpers ---------------------------------------------------------------------
-
-
-def _load_run_table(manifest: RunManifest) -> tables.TransitionTable:
-    if manifest.environment.kind == "table":
-        path = manifest.environment.table_path
-        if path is None:
-            raise EmptyInput("environment kind 'table' needs table_path")
-    else:
-        path = _run_file(manifest.out_dir, "table.json")
-    return _load_table(Path(path))
 
 
 def _load_table(path: Path) -> tables.TransitionTable:

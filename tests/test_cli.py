@@ -374,14 +374,16 @@ class TestTrainCommand:
 
     def test_invalid_table_file_rejected_by_every_reader(self, built_run, tmp_path,
                                                          capsys):
-        # probability mass 1.37 at (35, realign)
+        # probability mass 1.37 at (35, realign); build meets it as its
+        # table_path, train and eval as the run's own table_out/table.json
         doc = json.loads((tmp_path / "out" / "table.json").read_text())
         doc["P"]["35"]["3"].append([0.37, 35, -10.0, False])
-        bad = tmp_path / "bad_table.json"
+        bad = tmp_path / "table_out" / "table.json"
+        bad.parent.mkdir()
         bad.write_text(json.dumps(doc))
         manifest = tmp_path / "table_manifest.json"
         manifest.write_text(json.dumps({
-            "environment": {"kind": "table", "table_path": "bad_table.json"},
+            "environment": {"kind": "table", "table_path": "table_out/table.json"},
             "learner": {"episodes": 10, "max_steps_per_episode": 20},
             "out_dir": "table_out",
         }))
@@ -877,6 +879,24 @@ class TestRunDirectory:
         assert main(["build", "--manifest", str(manifest)]) == 0
         assert path.read_bytes() == written
 
+    def test_table_kind_reads_the_run_table(self, tmp_path, lake_table,
+                                            lake_table_slippery):
+        """train and eval read the out/table.json that build wrote, not the
+        manifest's table_path, which only build reads."""
+        lake = tmp_path / "lake.json"
+        lake.write_text(serialize(lake_table))
+        manifest = write_manifest(tmp_path, {
+            "environment": {"kind": "table", "table_path": "lake.json"},
+            "learner": {"episodes": 200}, "out_dir": "out"})
+        for argv in (["build"], ["train"], ["eval", "--episodes", "20"]):
+            assert main([*argv, "--manifest", str(manifest)]) == 0
+        report = tmp_path / "out" / "eval_report.json"
+        scored = report.read_bytes()
+        assert json.loads(scored)["success_rate"] == 1.0
+        lake.write_text(serialize(lake_table_slippery))
+        assert main(["eval", "--manifest", str(manifest), "--episodes", "20"]) == 0
+        assert report.read_bytes() == scored
+
     def test_export_metrics_clears_nothing(self, built_run, tmp_path):
         out = tmp_path / "out"
         assert main(["train", "--manifest", str(built_run)]) == 0
@@ -939,6 +959,16 @@ class TestConsoleEntryPoint:
         if before == "True":
             pytest.skip("this numpy loads numpy.random on import")
         assert after == "False"
+
+    @pytest.mark.parametrize("module", ["ingest", "binning", "jsondoc", "errors"])
+    def test_import_leaves_numpy_unloaded(self, module):
+        # the package re-exports nothing, so a module loads only what it imports
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys, promo_gym.{module}; print('numpy' in sys.modules)"],
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout == "False\n"
 
     def test_unknown_command_exits_2(self):
         proc = subprocess.run(

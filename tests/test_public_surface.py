@@ -1,9 +1,9 @@
 """Every public function and class has a user in the pipeline.
 
 A public module-level function or class in src/promo_gym must be named by
-some other code in src/promo_gym (the package's __init__.py re-exports do
-not count) or in benchmarks/. A name only tests call is surface without a
-user: delete it, or add it to KEPT with the reason it stays.
+some other code in src/promo_gym or in benchmarks/. A name only tests call
+is surface without a user: delete it, or add it to KEPT with the reason it
+stays.
 """
 
 import ast
@@ -34,10 +34,9 @@ def _public_definitions() -> dict[str, str]:
 
 
 def _names_used() -> set[str]:
-    """Every name and attribute referred to in src/promo_gym (bar __init__.py)
-    and benchmarks/; a def or class statement names nothing here."""
-    paths = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    paths += (ROOT / "benchmarks").glob("*.py")
+    """Every name and attribute referred to in src/promo_gym and benchmarks/;
+    a def or class statement names nothing here."""
+    paths = [*PACKAGE.glob("*.py"), *(ROOT / "benchmarks").glob("*.py")]
     used = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
