@@ -55,7 +55,7 @@ def make_frozen_lake(slippery: bool = False) -> TransitionTable:
     return TransitionTable.compile(
         n_states,
         n_actions,
-        [[outcomes(s, a) for a in range(n_actions)] for s in range(n_states)],
+        [outcomes(s, a) for s in range(n_states) for a in range(n_actions)],
         initial_distribution={0: 1.0},
         layout=(rows, width),
     )

@@ -114,8 +114,8 @@ def read_trace_csv(source: str | Path | TextIO) -> list[EpisodeTrace]:
     """Read a trace file by the rules of every input CSV (ingest._open_rows)
     into its episodes. The episode column starts at 0 and either stays or
     rises by 1 from row to row. Each episode's rows have steps numbered
-    1..n, finite rewards, each state the previous row's next_state, and
-    done on the last row only."""
+    1..n, indices of at least 0, finite rewards, each state the previous
+    row's next_state, and done on the last row only."""
     traces: list[EpisodeTrace] = []
     steps: list[TraceStep] = []
     episode = 0
@@ -127,6 +127,8 @@ def read_trace_csv(source: str | Path | TextIO) -> list[EpisodeTrace]:
                              _DONE[done])
         except (ValueError, KeyError):
             raise RowError(f"not a trace row: {','.join(row)!r}", row_num) from None
+        if step.state < 0 or step.action < 0 or step.next_state < 0:
+            raise RowError("state, action and next_state must be at least 0", row_num)
         if label != episode:
             if not steps or label != episode + 1:
                 expected = f"{episode} or {episode + 1}" if steps else f"{episode}"

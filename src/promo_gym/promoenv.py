@@ -101,7 +101,7 @@ def build_promo_mdp(spec: PromoGridSpec) -> TransitionTable:
     commit rather than wander off.
     """
     spec.check()
-    outcomes = []
+    pairs = []  # in k order: state-major, then action
     for r in range(spec.rows):
         avail = sorted(spec.avail[r])
         fan = 1.0 / len(avail)
@@ -113,7 +113,7 @@ def build_promo_mdp(spec: PromoGridSpec) -> TransitionTable:
                 forecast = (1.0, s, spec.goal_reward, True)
             else:
                 forecast = (1.0, s, spec.forecast_fail_reward, False)
-            outcomes.append([  # indexed by action: REALIGN, LOWER, INCREASE, FORECAST
+            pairs.extend([  # REALIGN, LOWER, INCREASE, FORECAST
                 [(fan, spec.state_index(r, c2), spec.step_reward, False) for c2 in avail],
                 [(1.0, spec.state_index(lower_row, c), spec.step_reward, False)],
                 [(1.0, spec.state_index(raise_row, c), spec.step_reward, False)],
@@ -125,7 +125,7 @@ def build_promo_mdp(spec: PromoGridSpec) -> TransitionTable:
     return TransitionTable.compile(
         spec.rows * spec.width,
         N_ACTIONS,
-        outcomes,
+        pairs,
         initial_distribution={s: weight for s in starts},
         layout=(spec.rows, spec.width),
     )

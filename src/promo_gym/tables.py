@@ -4,10 +4,10 @@ A table keeps every outcome in four flat columns (probability,
 next_state, reward, done). The outcomes of the pair (state s, action a)
 are the rows starts[k]:starts[k + 1], where k = s * n_actions + a, in
 listed order. The value-iteration oracle and validation read the
-columns. Everything else reads a row as a TransitionEntry tuple, from
-the per-pair view built from the columns once: sampling draws from it,
-TabularEnv.step returns its rows, and the on-disk JSON document nests
-them by state and action.
+columns. Everything else reads a pair's rows as TransitionEntry tuples
+through pair(), from one list of pairs indexed by k, built from the
+columns once: sampling draws from it, TabularEnv.step returns its rows,
+and the on-disk JSON document nests them by state and action.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, count
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +30,7 @@ PROB_SUM_TOL = 1e-9
 
 class TransitionEntry(NamedTuple):
     """One possible outcome of taking an action in a state: one row of
-    the columns, as the view lists it, step returns it and the document
+    the columns, as sampling draws it, step returns it and the document
     writes it."""
 
     probability: float
@@ -60,12 +60,11 @@ class TransitionTable:
     layout: tuple[int, int] | None = None
 
     @classmethod
-    def compile(cls, n_states: int, n_actions: int, outcomes,
+    def compile(cls, n_states: int, n_actions: int, pairs: list,
                 initial_distribution: dict[int, float],
                 layout: tuple[int, int] | None = None) -> "TransitionTable":
-        """Compile outcomes[s][a], the ordered (probability, next_state,
-        reward, done) rows of every pair, into the column form."""
-        pairs = [outcomes[s][a] for s in range(n_states) for a in range(n_actions)]
+        """Compile pairs, the ordered (probability, next_state, reward, done)
+        rows of every pair in k order, into the column form."""
         rows = [row for pair in pairs for row in pair]
         p, nxt, r, done = zip(*rows) if rows else ((),) * 4
         columns = (np.array([0, *accumulate(map(len, pairs))], dtype=np.intp),
@@ -77,16 +76,17 @@ class TransitionTable:
                    {s: float(q) for s, q in initial_distribution.items()}, layout)
 
     @cached_property
-    def outcomes(self) -> list[list[list[TransitionEntry]]]:
-        """outcomes[s][a] is the pair's outcome list, built from the columns
-        on first use; sampling and serialize read it."""
+    def _pairs(self) -> list[list[TransitionEntry]]:
+        """Each pair's rows in k order, built from the columns on first use."""
         entries = list(map(TransitionEntry, self.probability.tolist(),
                            self.next_state.tolist(), self.reward.tolist(),
                            self.done.tolist()))
         starts = self.starts.tolist()
-        pairs = [entries[i:j] for i, j in zip(starts, starts[1:])]
-        n = self.n_actions
-        return [pairs[k:k + n] for k in range(0, len(pairs), n)]
+        return [entries[i:j] for i, j in zip(starts, starts[1:])]
+
+    def pair(self, state: int, action: int) -> list[TransitionEntry]:
+        """The rows of pair k = state * n_actions + action, in listed order."""
+        return self._pairs[state * self.n_actions + action]
 
     def goal_states(self) -> set[int]:
         """States entered by a terminating transition with positive reward."""
@@ -166,10 +166,7 @@ def step_sample(table: TransitionTable, state: int, action: int,
         raise InvalidState(f"state {state} out of range 0..{table.n_states - 1}")
     if not (0 <= action < table.n_actions):
         raise InvalidAction(f"action {action} out of range 0..{table.n_actions - 1}")
-    rows = table.outcomes[state][action]
-    if len(rows) == 1:
-        return rows[0]
-    return _inverse_cdf(rows, rng)
+    return _inverse_cdf(table.pair(state, action), rng)
 
 
 def _inverse_cdf(rows: list, rng: RngStream):
@@ -239,8 +236,8 @@ def serialize(table: TransitionTable) -> str:
     }
     if table.layout is not None:
         doc["layout"] = {"rows": table.layout[0], "width": table.layout[1]}
-    doc["P"] = {str(s): {str(a): rows for a, rows in enumerate(actions)}
-                for s, actions in enumerate(table.outcomes)}
+    doc["P"] = {str(s): {str(a): table.pair(s, a) for a in range(table.n_actions)}
+                for s in range(table.n_states)}
     return json.dumps(doc, indent=1)
 
 
@@ -264,11 +261,11 @@ def deserialize(text: str) -> TransitionTable:
                   jsondoc.integer(lay["width"], "layout width"))
 
     # the row checks stay inline: a large table has tens of thousands of rows
-    outcomes: dict[int, dict[int, list]] = {}
-    for s_key, actions in jsondoc.obj(doc["P"], "P").items():
+    states = jsondoc.obj(doc["P"], "P")
+    n_pairs = 0
+    for s_key, actions in states.items():
         s = jsondoc.index(s_key, n_states, "P")
         where = f"state {s}"
-        outcomes[s] = {}
         for a_key, rows in jsondoc.obj(actions, f"{where}: actions").items():
             a = jsondoc.index(a_key, n_actions, where)
             if not isinstance(rows, list):
@@ -293,15 +290,15 @@ def deserialize(text: str) -> TransitionTable:
                     raise SchemaError(
                         f"{where}, action {a}, entry {i}: done must be a boolean"
                     )
-            outcomes[s][a] = rows
-    for s in range(n_states):
-        if s not in outcomes:
-            raise SchemaError(f"state {s}: missing from P")
-        for a in range(n_actions):
-            if a not in outcomes[s]:
-                raise SchemaError(f"state {s}: action {a} missing")
+            n_pairs += 1
+    # keys are distinct indices, so the count proves completeness; a gap is at k <= n_pairs
+    if n_pairs < n_states * n_actions:
+        s, a = next(divmod(k, n_actions) for k in count()
+                    if str(k % n_actions) not in states.get(str(k // n_actions), ()))
+        raise SchemaError(f"state {s}: action {a} missing")
+    pairs = [states[str(s)][str(a)] for s in range(n_states) for a in range(n_actions)]
 
     try:
-        return TransitionTable.compile(n_states, n_actions, outcomes, initial, layout)
+        return TransitionTable.compile(n_states, n_actions, pairs, initial, layout)
     except OverflowError as exc:  # an integer beyond float or index range
         raise SchemaError(f"number out of range: {exc}") from None

@@ -93,7 +93,7 @@ def test_criterion_2_probability_normalization(fixtures_dir, tmp_path,
         assert validate(table) == []
         for s in range(table.n_states):
             for a in range(table.n_actions):
-                mass = sum(e.probability for e in table.outcomes[s][a])
+                mass = sum(e.probability for e in table.pair(s, a))
                 assert abs(mass - 1.0) <= 1e-9
     _pass(2, "validation empty and per-(s,a) mass within 1e-9 on all tables",
           started, budget=1.0)

@@ -149,7 +149,7 @@ class TestBuildCommand:
         })
         assert main(["build", "--manifest", str(manifest)]) == 0
         table = deserialize((tmp_path / "out" / "table.json").read_text())
-        entries = table.outcomes[35]
+        entries = [table.pair(35, a) for a in range(4)]
         assert [(e.next_state, e.reward) for e in entries[1]] == [(25, -1.0)]
         assert [(e.next_state, e.reward) for e in entries[2]] == [(45, -1.0)]
         assert [(e.next_state, e.reward) for e in entries[3]] == [(35, -10.0)]
@@ -493,12 +493,11 @@ class TestRenderCommand:
 
     def test_action_outside_table_exit_2(self, tmp_path, capsys):
         """An action the table does not have exits 2, naming the action and
-        the table's range, rather than printing as a number."""
-        for action in (4, -1):
-            content = TRACE_HEADER + f"0,1,0,{action},0.0,4,false\n".encode()
-            assert main(trace_argv(tmp_path, "render", content)) == 2
-            err = capsys.readouterr().err
-            assert f"trace step 1 takes action {action}, table has 0..3" in err
+        the table's range, rather than printing as a number. A negative one
+        is refused by the trace reader (test_inconsistent_trace_exit_2)."""
+        content = TRACE_HEADER + b"0,1,0,4,0.0,4,false\n"
+        assert main(trace_argv(tmp_path, "render", content)) == 2
+        assert "trace step 1 takes action 4, table has 0..3" in capsys.readouterr().err
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
         assert main(["render", "--trace", str(tmp_path / "nope.csv"),
@@ -671,10 +670,17 @@ class TestMalformedTrace:
          "row 4: episode 0, expected episode 1 or 2"),
         ("0,1,0,1,0.0,4,true\n1,2,4,1,0.0,8,false",
          "row 3: step 2, expected step 1"),
+        ("0,1,-1,-3,0.0,-5,true",
+         "row 2: state, action and next_state must be at least 0"),
+        ("0,1,0,1,0.0,4,false\n0,2,4,-1,0.0,4,true",
+         "row 3: state, action and next_state must be at least 0"),
+        ("0,1,0,1,0.0,-4,true",
+         "row 2: state, action and next_state must be at least 0"),
     ], ids=["reward-nan", "reward-overflow", "reward-minus-inf", "done-before-last",
             "step-from-0", "step-skipped", "step-repeated", "state-not-next-state",
             "episode-from-1", "episode-skipped", "episode-comes-back",
-            "episode-not-from-step-1"])
+            "episode-not-from-step-1", "negative-indices", "negative-action",
+            "negative-next-state"])
     def test_inconsistent_trace_exit_2(self, tmp_path, capsys, command, rows, message):
         content = TRACE_HEADER + f"{rows}\n".encode()
         assert main(trace_argv(tmp_path, command, content)) == 2

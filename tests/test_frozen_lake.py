@@ -18,28 +18,28 @@ class TestConstruction:
 
     def test_right_from_start(self):
         table = make_frozen_lake(slippery=False)
-        [e] = table.outcomes[0][RIGHT]
+        [e] = table.pair(0, RIGHT)
         assert (e.probability, e.next_state, e.reward, e.done) == (1.0, 1, 0.0, False)
 
     def test_entering_goal_pays_one(self):
         table = make_frozen_lake(slippery=False)
-        [e] = table.outcomes[14][RIGHT]
+        [e] = table.pair(14, RIGHT)
         assert (e.probability, e.next_state, e.reward, e.done) == (1.0, 15, 1.0, True)
 
     def test_offgrid_moves_clamp(self):
         table = make_frozen_lake(slippery=False)
-        [e] = table.outcomes[0][LEFT]
+        [e] = table.pair(0, LEFT)
         assert e.next_state == 0
-        [e] = table.outcomes[0][UP]
+        [e] = table.pair(0, UP)
         assert e.next_state == 0
-        [e] = table.outcomes[3][RIGHT]
+        [e] = table.pair(3, RIGHT)
         assert e.next_state == 3
 
     def test_terminals_absorb(self):
         table = make_frozen_lake(slippery=False)
         for s in (5, 7, 11, 12, 15):
             for a in range(4):
-                [e] = table.outcomes[s][a]
+                [e] = table.pair(s, a)
                 assert (e.probability, e.next_state, e.reward, e.done) == (
                     1.0, s, 0.0, True,
                 )
@@ -48,7 +48,7 @@ class TestConstruction:
         table = make_frozen_lake(slippery=False)
         for s in range(16):
             for a in range(4):
-                for e in table.outcomes[s][a]:
+                for e in table.pair(s, a):
                     if e.reward:
                         assert e.next_state == 15 and tile(s) == "F"
 
@@ -56,7 +56,7 @@ class TestConstruction:
 class TestSlippery:
     def test_three_way_split(self):
         table = make_frozen_lake(slippery=True)
-        entries = table.outcomes[0][DOWN]
+        entries = table.pair(0, DOWN)
         assert len(entries) == 3
         assert all(abs(e.probability - 1 / 3) < 1e-12 for e in entries)
         # down from state 0 slips left/down/right -> next states 0, 4, 1
@@ -65,5 +65,5 @@ class TestSlippery:
     def test_slip_directions_are_perpendicular(self):
         table = make_frozen_lake(slippery=True)
         # from state 10 moving UP: slip set is right, up, left
-        nexts = [e.next_state for e in table.outcomes[10][UP]]
+        nexts = [e.next_state for e in table.pair(10, UP)]
         assert nexts == [11, 6, 9]

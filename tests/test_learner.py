@@ -36,7 +36,7 @@ def bits(q: QTable) -> list[list[str]]:
 
 def one_step_table() -> TransitionTable:
     return TransitionTable.compile(
-        2, 1, [[[(1.0, 1, 1.0, True)]], [[(1.0, 1, 0.0, True)]]], {0: 1.0})
+        2, 1, [[(1.0, 1, 1.0, True)], [(1.0, 1, 0.0, True)]], {0: 1.0})
 
 
 class TestAct:

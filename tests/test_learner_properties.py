@@ -108,12 +108,12 @@ def valid_tables(draw) -> TransitionTable:
         return [(p, draw(st.integers(0, n_states - 1)), draw(REWARD), draw(st.booleans()))
                 for p in normalized(weights)]
 
-    outcomes = [[outcome_list() for _ in range(n_actions)] for _ in range(n_states)]
+    pairs = [outcome_list() for _ in range(n_states * n_actions)]
     starts = draw(st.lists(st.integers(0, n_states - 1), min_size=1, max_size=3,
                            unique=True))
     weights = draw(st.lists(st.integers(1, 5), min_size=len(starts),
                             max_size=len(starts)))
-    table = TransitionTable.compile(n_states, n_actions, outcomes,
+    table = TransitionTable.compile(n_states, n_actions, pairs,
                                     dict(zip(starts, normalized(weights))))
     assert validate(table) == []
     return table
@@ -166,7 +166,7 @@ def reference_training(table: TransitionTable, config: LearnerConfig):
                 action = rng.integers(table.n_actions)
             else:
                 action = int(np.argmax(q[state]))
-            _, next_state, reward, done = reference_draw(table.outcomes[state][action],
+            _, next_state, reward, done = reference_draw(table.pair(state, action),
                                                          rng)
             old = float(q[state, action])
             target = reward if done else reward + config.gamma * float(np.max(q[next_state]))

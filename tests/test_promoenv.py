@@ -48,7 +48,7 @@ GOLDEN = {
 def as_tuples(table, state, action):
     return [
         (e.probability, e.next_state, e.reward, e.done)
-        for e in table.outcomes[state][action]
+        for e in table.pair(state, action)
     ]
 
 
@@ -66,28 +66,28 @@ class TestBuildRules:
     def test_realign_fans_over_availability_in_column_order(self, reference_table):
         table = reference_table
         for col in range(10):
-            entries = table.outcomes[10 + col][REALIGN]  # row 1
+            entries = table.pair(10 + col, REALIGN)  # row 1
             assert [e.next_state for e in entries] == [10, 11, 12, 13, 14, 15, 18]
             assert all(abs(e.probability - 1 / 7) < 1e-15 for e in entries)
 
     def test_row_moves_clamp_at_edges(self, reference_table):
         table = reference_table
-        [bottom] = table.outcomes[3][LOWER]       # row 0 col 3
+        [bottom] = table.pair(3, LOWER)       # row 0 col 3
         assert bottom.next_state == 3
-        [top] = table.outcomes[43][INCREASE]      # row 4 col 3
+        [top] = table.pair(43, INCREASE)      # row 4 col 3
         assert top.next_state == 43
         assert bottom.reward == top.reward == -1.0
 
     def test_only_realign_is_stochastic(self, reference_table):
         for s in range(reference_table.n_states):
-            assert len(reference_table.outcomes[s][REALIGN]) == 7
+            assert len(reference_table.pair(s, REALIGN)) == 7
             for a in (LOWER, INCREASE, FORECAST):
-                assert len(reference_table.outcomes[s][a]) == 1
+                assert len(reference_table.pair(s, a)) == 1
 
     def test_no_transition_leaves_the_grid(self, reference_table):
         for s in range(reference_table.n_states):
             for a in range(4):
-                for e in reference_table.outcomes[s][a]:
+                for e in reference_table.pair(s, a):
                     assert 0 <= e.next_state < 50
 
     def test_goal_forecast_terminates_with_reward(self):
@@ -98,18 +98,18 @@ class TestBuildRules:
             initial_states=frozenset({(0, 0)}),
         )
         table = build_promo_mdp(spec)
-        [e] = table.outcomes[23][FORECAST]
+        [e] = table.pair(23, FORECAST)
         assert (e.probability, e.next_state, e.reward, e.done) == (1.0, 23, 20.0, True)
 
     def test_goal_cell_other_actions_stay_live(self, reference_table):
         # goal (2, 4) = state 24: moving off the goal must remain possible
-        [lower] = reference_table.outcomes[24][LOWER]
+        [lower] = reference_table.pair(24, LOWER)
         assert (lower.next_state, lower.done) == (14, False)
-        realign = reference_table.outcomes[24][REALIGN]
+        realign = reference_table.pair(24, REALIGN)
         assert all(not e.done for e in realign)
 
     def test_failed_forecast_self_loop(self, reference_table):
-        [e] = reference_table.outcomes[35][FORECAST]
+        [e] = reference_table.pair(35, FORECAST)
         assert (e.next_state, e.reward, e.done) == (35, -10.0, False)
 
     def test_initial_distribution_uniform(self, reference_spec):
@@ -236,7 +236,7 @@ class TestDeriveSpec:
         table = build_promo_mdp(spec)
         # forecast fails everywhere: modeling a promotion-free week
         for s in range(table.n_states):
-            [e] = table.outcomes[s][FORECAST]
+            [e] = table.pair(s, FORECAST)
             assert e.reward == -10.0 and not e.done
 
     def test_seasonal_event_gets_aux_column(self):

@@ -94,7 +94,7 @@ class TestRenderGrid:
     @pytest.mark.parametrize("layout", [None, (0, 0), (0, 1), (1, 0)],
                              ids=["none", "0x0", "0x1", "1x0"])
     def test_no_layout_errors(self, layout):
-        table = TransitionTable.compile(1, 1, [[[(1.0, 0, 0.0, True)]]], {0: 1.0},
+        table = TransitionTable.compile(1, 1, [[(1.0, 0, 0.0, True)]], {0: 1.0},
                                         layout)
         with pytest.raises(NoLayout):
             render_trace(one_step_trace(0, 0, 0, 0, True), table)

@@ -9,12 +9,12 @@ from promo_gym.tables import TabularEnv, TransitionTable
 
 
 def identity_table() -> TransitionTable:
-    return TransitionTable.compile(1, 1, [[[(1.0, 0, 0.0, True)]]], {0: 1.0})
+    return TransitionTable.compile(1, 1, [[(1.0, 0, 0.0, True)]], {0: 1.0})
 
 
 def two_state_chain() -> TransitionTable:
     return TransitionTable.compile(
-        2, 1, [[[(1.0, 1, 1.0, True)]], [[(1.0, 1, 0.0, True)]]], {0: 1.0})
+        2, 1, [[(1.0, 1, 1.0, True)], [(1.0, 1, 0.0, True)]], {0: 1.0})
 
 
 def bfs_shortest_path_steps(table: TransitionTable, start: int, goal: int) -> int:
@@ -26,7 +26,7 @@ def bfs_shortest_path_steps(table: TransitionTable, start: int, goal: int) -> in
         if state == goal:
             return dist
         for action in range(table.n_actions):
-            [entry] = table.outcomes[state][action]
+            [entry] = table.pair(state, action)
             if entry.next_state not in seen:
                 seen.add(entry.next_state)
                 frontier.append((entry.next_state, dist + 1))
@@ -78,7 +78,7 @@ class TestValueIteration:
     def test_policy_breaks_ties_to_lowest_index(self):
         # two equivalent actions: argmax must pick action 0
         table = TransitionTable.compile(
-            1, 2, [[[(1.0, 0, 1.0, True)], [(1.0, 0, 1.0, True)]]], {0: 1.0})
+            1, 2, [[(1.0, 0, 1.0, True)], [(1.0, 0, 1.0, True)]], {0: 1.0})
         sol = value_iteration(table, gamma=0.9)
         assert sol.policy[0] == 0
 
@@ -93,7 +93,7 @@ class TestValueIteration:
                     backed = sum(
                         e.probability
                         * (e.reward + (0.0 if e.done else gamma * sol.V[e.next_state]))
-                        for e in table.outcomes[s][a]
+                        for e in table.pair(s, a)
                     )
                     assert abs(backed - sol.Q[s][a]) <= tol
 
@@ -111,7 +111,7 @@ def policy_value(table: TransitionTable, policy: np.ndarray, gamma: float) -> np
     expected_reward = np.zeros(n)
     chain = np.zeros((n, n))
     for s in range(n):
-        for e in table.outcomes[s][int(policy[s])]:
+        for e in table.pair(s, int(policy[s])):
             expected_reward[s] += e.probability * e.reward
             if not e.done:
                 chain[s, e.next_state] += e.probability

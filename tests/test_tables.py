@@ -24,7 +24,7 @@ from promo_gym.tables import (
 
 
 def one_pair_table(*outcomes) -> TransitionTable:
-    return TransitionTable.compile(1, 1, [[list(outcomes)]], {0: 1.0})
+    return TransitionTable.compile(1, 1, [list(outcomes)], {0: 1.0})
 
 
 def identity_table() -> TransitionTable:
@@ -57,7 +57,7 @@ class TestValidate:
 
     def test_missing_action_reported(self):
         # the compiled form holds every pair; a missing action has no outcomes
-        table = TransitionTable.compile(1, 2, [[[(1.0, 0, 0.0, True)], []]], {0: 1.0})
+        table = TransitionTable.compile(1, 2, [[(1.0, 0, 0.0, True)], []], {0: 1.0})
         assert validate(table) == ["state 0, action 1: empty outcome list"]
 
     def test_next_state_out_of_range(self):
@@ -123,7 +123,7 @@ class TestStepSample:
                 out = step_sample(table, s, a, rng)
                 counts[out.next_state] = counts.get(out.next_state, 0) + 1
             expected: dict[int, float] = {}
-            for e in table.outcomes[s][a]:
+            for e in table.pair(s, a):
                 expected[e.next_state] = expected.get(e.next_state, 0.0) + e.probability
             for nxt, p in expected.items():
                 band = 3 * math.sqrt(p * (1 - p) / n)
@@ -180,7 +180,7 @@ class TestSerialization:
         for s in ("35", "36"):
             assert json.dumps(doc["P"][s]).count("0.14285714285714285") == 7
         total_entries = sum(
-            len(again.outcomes[s][a]) for s in (35, 36) for a in range(4)
+            len(again.pair(s, a)) for s in (35, 36) for a in range(4)
         )
         assert total_entries == 20
 
@@ -204,6 +204,24 @@ class TestSerialization:
         with pytest.raises(SchemaError) as err:
             deserialize(text)
         assert "state 0" in str(err.value)
+
+    def test_missing_pair_under_a_huge_header_allocates_by_the_document(self):
+        # a header may claim far more pairs than memory holds; the check
+        # that P is complete costs what P holds, not what the header claims
+        import json
+        import tracemalloc
+
+        text = json.dumps({"n_states": 10**9, "n_actions": 10**9,
+                           "initial_distribution": {"0": 1.0},
+                           "P": {"0": {"0": [[1.0, 0, 0.0, True]]}}})
+        tracemalloc.start()
+        try:
+            with pytest.raises(SchemaError, match="^state 0: action 1 missing$"):
+                deserialize(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_parse_error_carries_position(self):
         with pytest.raises(ParseError) as err:
