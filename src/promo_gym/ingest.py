@@ -2,7 +2,7 @@
 
 Each CSV schema is stated once, as a record NamedTuple below: its field
 names in order are the exact header, and each field's type picks how a
-cell is parsed and written (UTF-8, ISO-8601 dates, LF or CRLF on read).
+cell is parsed and written (UTF-8, YYYY-MM-DD dates, LF or CRLF on read).
 
 Parsing is strict: the first bad row raises RowError with its row
 number. unify() folds everything into one dense daily series per
@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import re
 from datetime import date, timedelta
 from pathlib import Path
 from types import SimpleNamespace
@@ -23,6 +24,7 @@ from .errors import CalendarGap, ConfigError, HeaderMismatch, ParseError, RowErr
 
 ONLINE_STORE_ID = "ONLINE"  # fallback store for online rows without a zip mapping
 
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _TRUE = {"y", "1", "true"}
 _FALSE = {"n", "0", "false"}
 
@@ -91,11 +93,20 @@ class DailySalesRecord(NamedTuple):
 # --- field parsers -----------------------------------------------------------
 
 
+def iso_date(text: str) -> date:
+    """The date written YYYY-MM-DD, the one form the writers write. Any
+    other form raises ValueError: date.fromisoformat reads 20150608 and
+    2015-W24-1 too from Python 3.11 on, but not on 3.10."""
+    if not _ISO_DATE.fullmatch(text):
+        raise ValueError(f"{text!r} is not a YYYY-MM-DD date")
+    return date.fromisoformat(text)
+
+
 def _parse_date(text: str, row: int, name: str) -> date:
     try:
-        return date.fromisoformat(text.strip())
+        return iso_date(text.strip())
     except ValueError:
-        raise RowError(f"{name}: {text!r} is not an ISO-8601 date", row) from None
+        raise RowError(f"{name}: {text!r} is not a YYYY-MM-DD date", row) from None
 
 
 def _parse_bool(text: str, row: int, name: str) -> bool:

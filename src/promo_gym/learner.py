@@ -16,7 +16,9 @@ import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate, chain
+from operator import add
 from typing import NamedTuple, get_type_hints
 
 import numpy as np
@@ -121,35 +123,29 @@ class TraceStep(NamedTuple):
 
 @dataclass
 class EpisodeTrace:
-    """One episode's running reward bookkeeping, plus its steps when they
-    were recorded. steps is None for an episode run without recording
-    them, so it cannot pass for an episode of no steps."""
+    """One episode's step rewards, and whether the step cap rather than its
+    last step ended it, plus its steps when they were recorded. steps is
+    None for an episode run without recording them, so it cannot pass for
+    an episode of no steps."""
 
     steps: list[TraceStep] | None
-    cumulative: list[float]
-    total_reward: float
+    rewards: list[float]
     truncated: bool
 
     @classmethod
-    def from_rewards(cls, rewards: list[float], done: bool,
-                     steps: list[TraceStep] | None = None) -> "EpisodeTrace":
-        """Derive the running totals and truncation from the step rewards
-        and whether the last step ended the episode.
-
-        The running sum starts at 0.0, so a -0.0 reward totals 0.0.
-        An episode is truncated unless its last step ended it.
-        """
-        cumulative = list(accumulate(rewards, initial=0.0))
-        total = cumulative[-1]
-        del cumulative[0]
-        return cls(steps=steps, cumulative=cumulative, total_reward=total,
-                   truncated=not done)
-
-    @classmethod
     def from_steps(cls, steps: list[TraceStep]) -> "EpisodeTrace":
-        """The trace of the recorded steps."""
-        return cls.from_rewards([s.reward for s in steps],
-                                bool(steps) and steps[-1].done, steps)
+        """The trace of the recorded steps; truncated unless the last one ends it."""
+        return cls(steps, [s.reward for s in steps], not (steps and steps[-1].done))
+
+    def running_totals(self) -> list[float]:
+        """The reward total after each step. Rewards are summed in step
+        order starting at 0.0, so a -0.0 reward totals 0.0."""
+        return list(accumulate(self.rewards, initial=0.0))[1:]
+
+    @property
+    def total_reward(self) -> float:
+        """The total after the last step, summed as running_totals() sums."""
+        return reduce(add, self.rewards, 0.0)
 
 
 def act(q: QTable, state: int, epsilon: float, rng: RngStream) -> int:
@@ -186,7 +182,7 @@ def run_episode(env: TabularEnv, q: QTable, config: LearnerConfig,
                 record_steps: bool = True) -> EpisodeTrace:
     """Roll one episode: act, step, (optionally) update, until done or
     the step cap. With learning=False the Q-table is left untouched; with
-    record_steps=False the trace keeps only its rewards' running totals."""
+    record_steps=False the trace keeps only its rewards."""
     state = env.reset(rng)
     steps: list[TraceStep] | None = [] if record_steps else None
     rewards: list[float] = []
@@ -203,7 +199,7 @@ def run_episode(env: TabularEnv, q: QTable, config: LearnerConfig,
         state = next_state
         if done:
             break
-    return EpisodeTrace.from_rewards(rewards, done, steps)
+    return EpisodeTrace(steps, rewards, not done)
 
 
 def train(env: TabularEnv, config: LearnerConfig, q: QTable,
@@ -245,16 +241,18 @@ def evaluate_greedy(env: TabularEnv, q: QTable, episodes: int, max_steps: int,
     successes = 0
     truncations = 0
     for rng in RngStream(seed).substream(EVAL_STREAM).substreams(episodes):
-        trace = run_episode(env, q, config, epsilon=0.0, rng=rng, learning=False)
+        trace = run_episode(env, q, config, epsilon=0.0, rng=rng, learning=False,
+                            record_steps=False)
         totals.append(trace.total_reward)
-        last = trace.steps[-1]
-        if last.done and last.reward > 0:
+        if not trace.truncated and trace.rewards[-1] > 0:
             successes += 1
         if trace.truncated:
             truncations += 1
     return {
         "episodes": episodes,
-        "mean_total_reward": sum(totals) / episodes,
+        # added in order from 0.0: from Python 3.12 on, builtin sum()
+        # compensates, so the report's last bits would depend on the version
+        "mean_total_reward": reduce(add, totals, 0.0) / episodes,
         "min_total_reward": min(totals),
         "max_total_reward": max(totals),
         "success_rate": successes / episodes,

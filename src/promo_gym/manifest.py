@@ -20,6 +20,7 @@ from typing import get_args, get_type_hints
 
 from . import jsondoc
 from .errors import ConfigError
+from .ingest import iso_date
 from .learner import LearnerConfig
 from .promoenv import PromoGridSpec, spec_from_json, spec_to_json
 
@@ -134,7 +135,7 @@ def _value(kind, value, key: str):
         return jsondoc.boolean(value, key, ConfigError)
     if kind is date:
         try:
-            return date.fromisoformat(value)
+            return iso_date(value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad {key}: {exc}") from None
     if kind is PromoGridSpec:

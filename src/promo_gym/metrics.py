@@ -48,9 +48,10 @@ def compute_metrics(traces: Iterable[EpisodeTrace]) -> MetricsSeries:
     longest = 0
     block: list[list[float]] = []
     for trace in traces:
-        block.append(trace.cumulative)
+        running = trace.running_totals()
+        block.append(running)
         totals.append(trace.total_reward)
-        longest = max(longest, len(trace.cumulative))
+        longest = max(longest, len(running))
         if len(block) == _BLOCK:
             sums = _fold(sums, block, totals[-_BLOCK:])
             block = []

@@ -37,6 +37,7 @@ def render_trace(trace: EpisodeTrace, table: TransitionTable) -> str:
     lines.append(f"start  state={start} (row {start // width}, col {start % width})")
     lines.append(_frame(rows, width, start, goals))
 
+    running = trace.running_totals()
     for i, step in enumerate(trace.steps):
         _check_state(step.next_state, table)
         if not (0 <= step.action < table.n_actions):
@@ -44,7 +45,7 @@ def render_trace(trace: EpisodeTrace, table: TransitionTable) -> str:
                                f"table has 0..{table.n_actions - 1}")
         action = ACTION_NAMES[step.action] if promo_style else str(step.action)
         note = f"step {i + 1}: {action}  reward={step.reward:g}  " \
-               f"total={trace.cumulative[i]:g}"
+               f"total={running[i]:g}"
         if step.done and step.reward > 0:
             note += "  FORECAST ✓"
         lines.append(note)

@@ -105,6 +105,10 @@ def validate(table: TransitionTable) -> list[str]:
         violations.append(f"n_states must be >= 1, got {table.n_states}")
     if table.n_actions < 1:
         violations.append(f"n_actions must be >= 1, got {table.n_actions}")
+    pairs = table.n_states * table.n_actions
+    if len(table.starts) != pairs + 1:
+        violations.append(f"{len(table.starts) - 1} outcome lists for {pairs} "
+                          f"(state, action) pairs")
 
     starts, prob, nxt = table.starts, table.probability, table.next_state
     counts = np.diff(starts)

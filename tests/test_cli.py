@@ -103,7 +103,11 @@ class TestIngestCommand:
         # csv.reader rejects NUL before Python 3.11 ("line 3: ..."); later
         # versions pass it on to the date parser ("row 3: date ...")
         (b"2015-05-\x005", "3: "),
-    ], ids=["oversized-field", "non-utf8-byte", "nul-byte"])
+        # date.fromisoformat reads these two from Python 3.11 on; 3.10 does not
+        (b"20150608", "row 3: date: '20150608' is not a YYYY-MM-DD date"),
+        (b"2015-W24-1", "row 3: date: '2015-W24-1' is not a YYYY-MM-DD date"),
+    ], ids=["oversized-field", "non-utf8-byte", "nul-byte", "basic-date",
+            "week-date"])
     def test_unreadable_csv_exit_2(self, tmp_path, fixtures_dir, capsys, cell,
                                    message):
         for name in ("manifest.json", "promo_plan.csv", "online_transactions.csv",

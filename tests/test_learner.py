@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from promo_gym import learner
 from promo_gym.envcore import RngStream
 from promo_gym.errors import ConfigError, DimensionMismatch, NonFinite, SchemaError
 from promo_gym.learner import (
@@ -19,6 +20,7 @@ from promo_gym.learner import (
     run_episode,
     train,
 )
+from promo_gym.promoenv import PromoGridSpec, build_promo_mdp
 from promo_gym.solve import value_iteration
 from promo_gym.tables import TabularEnv, TransitionTable
 
@@ -200,7 +202,7 @@ class TestRunEpisode:
         q = QTable(50, 4)
         trace = run_episode(env, q, config, epsilon=1.0, rng=RngStream(9),
                             learning=True)
-        assert trace.cumulative[-1] == trace.total_reward
+        assert trace.running_totals()[-1] == trace.total_reward
         assert trace.total_reward == sum(s.reward for s in trace.steps)
         dones = [s.done for s in trace.steps]
         assert sum(dones) <= 1
@@ -270,6 +272,23 @@ class TestEvaluateGreedy:
                                  seed=5)
         assert report["success_rate"] == 0.0
         assert report["truncation_rate"] == 1.0
+
+    @pytest.mark.parametrize("compensated", [False, True])
+    def test_mean_total_reward_summed_in_order(self, monkeypatch, compensated):
+        # from Python 3.12 on builtin sum() compensates, and this mean's last
+        # bits read 2.2080000000000006; a compensated sum in the learner's
+        # namespace stands in for that version's sum on any version
+        if compensated:
+            monkeypatch.setattr(learner, "sum", lambda values, start=0:
+                                math.fsum([start, *values]), raising=False)
+        spec = PromoGridSpec(rows=5, avail={r: frozenset({1, 3, 8}) for r in range(5)},
+                             goals=frozenset({(2, 3)}), initial_states=frozenset({(0, 0)}),
+                             step_reward=-0.1, forecast_fail_reward=-1.3, goal_reward=2.7)
+        env = TabularEnv(build_promo_mdp(spec))
+        q = QTable(50, 4)
+        list(train(env, LearnerConfig(episodes=300, max_steps_per_episode=40, seed=3), q))
+        report = evaluate_greedy(env, q, episodes=500, max_steps=40, seed=3)
+        assert report["mean_total_reward"] == 2.2079999999999975
 
     def test_zero_episodes_empty_report(self, lake_table):
         env = TabularEnv(lake_table)

@@ -4,16 +4,20 @@ act and q_update read Q rows as plain Python floats; these properties hold
 them to the numpy reductions bit for bit, on random finite rows with
 forced ties, all-zero rows and both signed zeros. A whole training run,
 with and without recorded steps, is held to a reference loop over a numpy
-Q array that records every step.
+Q array that records every step, and greedy evaluation to a summary of
+recorded episodes.
 """
+
+from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from promo_gym.envcore import RngStream
 from promo_gym.learner import (
+    EVAL_STREAM,
     TRAIN_STREAM,
     EpisodeTrace,
     LearnerConfig,
@@ -21,7 +25,9 @@ from promo_gym.learner import (
     TraceStep,
     act,
     epsilon_schedule,
+    evaluate_greedy,
     q_update,
+    run_episode,
     train,
 )
 from promo_gym.metrics import compute_metrics
@@ -184,10 +190,11 @@ def reference_metrics(traces: list[EpisodeTrace]) -> tuple[list[float], list[flo
     sums = np.zeros(1)
     totals = [trace.total_reward for trace in traces]
     for trace in traces:
-        n = len(trace.cumulative)
+        running = trace.running_totals()
+        n = len(running)
         if n > len(sums):
             sums = np.pad(sums, (0, n - len(sums)), mode="edge")
-        sums[:n] += trace.cumulative
+        sums[:n] += running
         sums[n:] += trace.total_reward
     if len(sums) == 1:
         sums = np.array([np.sum(totals)])
@@ -213,8 +220,67 @@ def test_training_matches_reference_loop(table, config, record_steps):
     assert len(traces) == len(ref_traces)
     for trace, ref in zip(traces, ref_traces):
         assert trace.steps == (ref.steps if record_steps else None)
-        assert hexed(trace.cumulative) == hexed(ref.cumulative)
+        assert hexed(trace.running_totals()) == hexed(ref.running_totals())
         assert hexed([trace.total_reward]) == hexed([ref.total_reward])
         assert trace.truncated == ref.truncated
     assert hexed(series.means) == hexed(ref_means)
     assert hexed(series.totals) == hexed(ref_totals)
+
+
+def reference_evaluation(table: TransitionTable, q: QTable, episodes: int,
+                         max_steps: int, seed: int) -> dict:
+    """Greedy episodes with every step recorded: success from the last step,
+    each total from the steps' rewards and the mean from the totals, each
+    added in order from 0.0."""
+    config = LearnerConfig(episodes=episodes, max_steps_per_episode=max_steps,
+                           seed=seed)
+    totals = []
+    successes = truncations = 0
+    for i in range(episodes):
+        rng = RngStream(seed).substream(EVAL_STREAM, i)
+        trace = run_episode(TabularEnv(table), q, config, 0.0, rng, learning=False)
+        total = 0.0
+        for step in trace.steps:
+            total += step.reward
+        totals.append(total)
+        last = trace.steps[-1]
+        successes += last.done and last.reward > 0
+        truncations += not last.done
+    mean = 0.0
+    for total in totals:
+        mean += total
+    return {
+        "episodes": episodes,
+        "mean_total_reward": mean / episodes,
+        "min_total_reward": min(totals),
+        "max_total_reward": max(totals),
+        "success_rate": successes / episodes,
+        "truncation_rate": truncations / episodes,
+    }
+
+
+@settings(deadline=None, max_examples=50)
+@given(table=valid_tables(), data=st.data(), episodes=st.integers(1, 40),
+       max_steps=st.integers(1, 15), seed=st.integers(0, 2**64 - 1))
+def test_greedy_evaluation_matches_recorded_episodes(table, data, episodes,
+                                                     max_steps, seed):
+    row = st.lists(CELL, min_size=table.n_actions, max_size=table.n_actions)
+    q = QTable(table.n_states, table.n_actions,
+               data.draw(st.lists(row, min_size=table.n_states, max_size=table.n_states)))
+
+    report = evaluate_greedy(TabularEnv(table), q, episodes, max_steps, seed)
+
+    want = reference_evaluation(table, q, episodes, max_steps, seed)
+    assert report.keys() == want.keys()
+    assert {k: float(v).hex() for k, v in report.items()} == \
+        {k: float(v).hex() for k, v in want.items()}
+
+
+@given(st.lists(st.one_of(REWARD, st.floats(allow_nan=False)), max_size=20))
+@example([-0.0])
+@example([-0.0, -0.0, 1.0])
+def test_running_totals_accumulate_from_zero(rewards):
+    trace = EpisodeTrace(steps=None, rewards=rewards, truncated=True)
+    want = list(accumulate(rewards, initial=0.0))
+    assert hexed(trace.running_totals()) == hexed(want[1:])
+    assert float(trace.total_reward).hex() == want[-1].hex()

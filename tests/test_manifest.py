@@ -93,6 +93,9 @@ def test_missing_manifest_rejected(tmp_path):
     {"learner": {"seed": 1.5}},
     {"learner": {"max_steps_per_episode": True}},
     {"environment": {"target_week": 20150608}},
+    # date.fromisoformat reads these from Python 3.11 on; 3.10 refuses them
+    {"environment": {"target_week": "20150608"}},
+    {"environment": {"target_week": "2015-W24-1"}},
     {"out_dir": 5},
     {"out_dir": None},
     {"outdir": "out"},

@@ -20,16 +20,10 @@ from promo_gym.metrics import (
 
 
 def trace_from_rewards(rewards, done_last=True) -> EpisodeTrace:
-    steps = []
-    cumulative = []
-    total = 0.0
-    for i, r in enumerate(rewards):
-        done = done_last and i == len(rewards) - 1
-        steps.append(TraceStep(state=i, action=0, reward=float(r),
-                               next_state=i + 1, done=done))
-        total += r
-        cumulative.append(total)
-    return EpisodeTrace(steps=steps, cumulative=cumulative, total_reward=total,
+    steps = [TraceStep(state=i, action=0, reward=float(r), next_state=i + 1,
+                       done=done_last and i == len(rewards) - 1)
+             for i, r in enumerate(rewards)]
+    return EpisodeTrace(steps=steps, rewards=[s.reward for s in steps],
                         truncated=not done_last)
 
 
@@ -55,7 +49,7 @@ class TestComputeMetrics:
     def test_last_cumulative_equals_total(self):
         traces = [trace_from_rewards([0.5, -2, 7, 1]), trace_from_rewards([3])]
         for trace in traces:
-            assert trace.cumulative[-1] == trace.total_reward
+            assert trace.running_totals()[-1] == trace.total_reward
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
@@ -64,12 +58,13 @@ class TestComputeMetrics:
 
 def grid_metrics(traces):
     """The episodes x steps grid formula that compute_metrics streams."""
-    horizon = max(len(t.cumulative) for t in traces)
+    horizon = max(len(t.running_totals()) for t in traces)
     grid = np.empty((len(traces), horizon))
     for i, trace in enumerate(traces):
-        n = len(trace.cumulative)
-        grid[i, :n] = trace.cumulative
-        grid[i, n:] = trace.cumulative[-1]
+        running = trace.running_totals()
+        n = len(running)
+        grid[i, :n] = running
+        grid[i, n:] = running[-1]
     means = grid.mean(axis=0)
     return means.tolist(), [trace.total_reward for trace in traces]
 
@@ -193,8 +188,7 @@ class TestCsvEmission:
         assert read_trace_csv(io.StringIO(buf.getvalue())) == traces
 
     def test_trace_without_recorded_steps_is_not_written(self):
-        unrecorded = EpisodeTrace(steps=None, cumulative=[-1.0], total_reward=-1.0,
-                                  truncated=True)
+        unrecorded = EpisodeTrace(steps=None, rewards=[-1.0], truncated=True)
         buffer = io.StringIO()
         with pytest.raises(TypeError):
             write_trace_csv(buffer, [unrecorded])
@@ -205,7 +199,7 @@ class TestCsvEmission:
         buffer.seek(0)
         [trace] = read_trace_csv(buffer)
         assert trace.steps[0].reward == 0.0
-        assert [str(v) for v in trace.cumulative] == ["0.0"]
+        assert [str(v) for v in trace.running_totals()] == ["0.0"]
         assert str(trace.total_reward) == "0.0"
 
 
@@ -237,7 +231,7 @@ def test_trace_file_round_trip(traces):
     for got, want in zip(again, traces):
         assert got.steps == want.steps
         assert hexed(s.reward for s in got.steps) == hexed(s.reward for s in want.steps)
-        assert hexed(got.cumulative) == hexed(want.cumulative)
+        assert hexed(got.running_totals()) == hexed(want.running_totals())
         assert float.hex(got.total_reward) == float.hex(want.total_reward)
         assert got.truncated == want.truncated
 

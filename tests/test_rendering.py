@@ -9,8 +9,7 @@ from promo_gym.tables import TabularEnv, TransitionTable
 
 def one_step_trace(state, action, reward, next_state, done) -> EpisodeTrace:
     step = TraceStep(state, action, float(reward), next_state, done)
-    return EpisodeTrace(steps=[step], cumulative=[float(reward)],
-                        total_reward=float(reward), truncated=not done)
+    return EpisodeTrace(steps=[step], rewards=[float(reward)], truncated=not done)
 
 
 def marker_position(grid_lines: list[str]) -> tuple[int, int]:
@@ -36,14 +35,12 @@ class TestRenderTrace:
         assert marker_position(second_grid) == (4, 5)
 
     def test_empty_trace_prints_header_only(self, reference_table):
-        empty = EpisodeTrace(steps=[], cumulative=[], total_reward=0.0,
-                             truncated=False)
+        empty = EpisodeTrace(steps=[], rewards=[], truncated=False)
         text = render_trace(empty, reference_table)
         assert text == "Mon Tue Wed Thu Fri Sat Sun A7  A8  A9"
 
     def test_trace_without_recorded_steps_is_not_an_empty_trace(self, reference_table):
-        unrecorded = EpisodeTrace(steps=None, cumulative=[-1.0], total_reward=-1.0,
-                                  truncated=True)
+        unrecorded = EpisodeTrace(steps=None, rewards=[-1.0], truncated=True)
         with pytest.raises(TypeError):
             render_trace(unrecorded, reference_table)
 

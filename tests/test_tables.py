@@ -60,6 +60,12 @@ class TestValidate:
         table = TransitionTable.compile(1, 2, [[(1.0, 0, 0.0, True)], []], {0: 1.0})
         assert validate(table) == ["state 0, action 1: empty outcome list"]
 
+    def test_pair_count_other_than_states_times_actions_reported(self):
+        # compile takes the pairs' row lists as given; serialize would index
+        # past the end of starts for the missing pair
+        table = TransitionTable.compile(2, 1, [[(1.0, 0, 0.0, True)]], {0: 1.0})
+        assert validate(table) == ["1 outcome lists for 2 (state, action) pairs"]
+
     def test_next_state_out_of_range(self):
         table = one_pair_table((1.0, 5, 0.0, True))
         assert validate(table) == ["state 0, action 0, entry 0: next state 5 out of range"]
