@@ -18,16 +18,20 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
+_MASK64 = 2**64 - 1
 _CHUNK = 4096  # indices whose states substreams computes at once
+_REFILL = 16  # raw outputs an RngStream draws from PCG64 at once
 
 
 class RngStream:
     """Deterministic random stream pinned to a 64-bit seed.
 
     Identical seeds give identical draw sequences on every platform
-    (PCG64 stream stability is guaranteed by numpy). Sub-streams for
-    independent tasks (episode i, say) are a pure function of
-    (root seed, key), so episode k's draws never depend on how long
+    (PCG64 stream stability is guaranteed by numpy). random() and
+    integers() return what numpy's Generator over the same PCG64 returns,
+    computed from PCG64's raw outputs, which are drawn _REFILL at a time.
+    Sub-streams for independent tasks (episode i, say) are a pure function
+    of (root seed, key), so episode k's draws never depend on how long
     episodes 0..k-1 ran.
     """
 
@@ -42,7 +46,9 @@ class RngStream:
         self.key = _key
         seed_seq = (np.random.SeedSequence(seed, spawn_key=_key) if _state is None
                     else _KnownState(_state))
-        self._gen = np.random.Generator(np.random.PCG64(seed_seq))
+        self._bits = np.random.PCG64(seed_seq)
+        self._raw: list[int] = []  # buffered raw outputs, the next one last
+        self._half: int | None = None  # high half of a raw output, kept for integers
 
     def substream(self, *key: int) -> "RngStream":
         """Independent stream derived from (seed, existing key, key)."""
@@ -79,12 +85,48 @@ class RngStream:
             i += n
 
     def random(self) -> float:
-        """Uniform float in [0, 1)."""
-        return self._gen.random()
+        """Uniform float in [0, 1): the top 53 bits of the next raw output."""
+        return (self._next64() >> 11) * 2.0**-53
 
     def integers(self, n: int) -> int:
-        """Uniform integer in [0, n)."""
-        return int(self._gen.integers(n))
+        """Uniform integer in [0, n), by Lemire's method over the 32-bit
+        draws for n up to 2**32 and over raw outputs above, as numpy's
+        Generator.integers draws a scalar int64."""
+        n = operator.index(n)
+        if not 0 < n <= 2**63:
+            raise ValueError(f"integers needs 0 < n <= 2**63, got {n}")
+        if n > 2**32:
+            m = self._next64() * n
+            if m & _MASK64 < n:
+                threshold = (2**64 - n) % n
+                while m & _MASK64 < threshold:
+                    m = self._next64() * n
+            return m >> 64
+        if n == 2**32:
+            return self._next32()
+        if n == 1:
+            return 0
+        m = self._next32() * n
+        if m & _MASK32 < n:
+            threshold = (2**32 - n) % n
+            while m & _MASK32 < threshold:
+                m = self._next32() * n
+        return m >> 32
+
+    def _next64(self) -> int:
+        if not self._raw:
+            self._raw = self._bits.random_raw(_REFILL)[::-1].tolist()
+        return self._raw.pop()
+
+    def _next32(self) -> int:
+        """PCG64's next_uint32: the low half of a raw output, then its high half."""
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        raw = self._next64()
+        self._half = raw >> 32
+        return raw & _MASK32
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, key={self.key}, algorithm={self.ALGORITHM!r})"

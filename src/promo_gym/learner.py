@@ -26,7 +26,7 @@ import numpy as np
 from . import jsondoc
 from .envcore import RngStream
 from .errors import ConfigError, DimensionMismatch, NonFinite, SchemaError
-from .tables import TabularEnv
+from .tables import TabularEnv, TransitionTable, _inverse_cdf
 
 # leading sub-stream keys keep training and evaluation randomness disjoint
 TRAIN_STREAM = 0
@@ -209,15 +209,47 @@ def train(env: TabularEnv, config: LearnerConfig, q: QTable,
     steps out of the traces, for a caller that reads only their rewards.
 
     Episode i draws from the sub-stream (seed, 0, i), so its randomness
-    is independent of every other episode's length.
+    is independent of every other episode's length. Each episode is
+    run_episode(..., learning=True) over env, with act, env.reset and
+    env.step unrolled into one loop: the same draws, steps and updates.
     """
-    if env.table.n_states < 1 or env.table.n_actions < 1:
+    table = env.table
+    if table.n_states < 1 or table.n_actions < 1:
         raise DimensionMismatch("environment spaces must be non-empty")
+    _check_shape(q, table)
+    pairs, initial, n_actions = table.pairs, env.initial_rows, table.n_actions
+    values, alpha, gamma = q.values, config.alpha, config.gamma
     streams = RngStream(config.seed).substream(TRAIN_STREAM).substreams(config.episodes)
     for episode, rng in enumerate(streams):
         epsilon = epsilon_schedule(config, episode)
-        yield run_episode(env, q, config, epsilon, rng, learning=True,
-                          record_steps=record_steps)
+        state = _inverse_cdf(initial, rng)[1]
+        steps: list[TraceStep] | None = [] if record_steps else None
+        rewards: list[float] = []
+        done = False
+        for _ in range(config.max_steps_per_episode):
+            if epsilon > 0.0 and rng.random() < epsilon:
+                action = rng.integers(n_actions)
+            else:
+                row = values[state]
+                action = row.index(max(row))
+            _, next_state, reward, done = _inverse_cdf(pairs[state * n_actions + action],
+                                                       rng)
+            q_update(q, state, action, reward, next_state, done, alpha, gamma)
+            if steps is not None:
+                steps.append(TraceStep(state, action, reward, next_state, done))
+            rewards.append(reward)
+            state = next_state
+            if done:
+                break
+        yield EpisodeTrace(steps, rewards, not done)
+
+
+def _check_shape(q: QTable, table: TransitionTable) -> None:
+    if (q.n_states, q.n_actions) != (table.n_states, table.n_actions):
+        raise DimensionMismatch(
+            f"q-table is {q.n_states}x{q.n_actions}, environment is "
+            f"{table.n_states}x{table.n_actions}"
+        )
 
 
 def evaluate_greedy(env: TabularEnv, q: QTable, episodes: int, max_steps: int,
@@ -225,14 +257,10 @@ def evaluate_greedy(env: TabularEnv, q: QTable, episodes: int, max_steps: int,
     """Run greedy (epsilon = 0) episodes with learning off; summarize.
 
     Success means the episode terminated with a positive final reward.
-    episodes = 0 yields an empty report.
+    episodes = 0 yields an empty report; a mean total reward that is not
+    finite raises NonFinite.
     """
-    table = env.table
-    if (q.n_states, q.n_actions) != (table.n_states, table.n_actions):
-        raise DimensionMismatch(
-            f"q-table is {q.n_states}x{q.n_actions}, environment is "
-            f"{table.n_states}x{table.n_actions}"
-        )
+    _check_shape(q, env.table)
     if episodes == 0:
         return {"episodes": 0}
     config = LearnerConfig(episodes=episodes, max_steps_per_episode=max_steps,
@@ -248,11 +276,14 @@ def evaluate_greedy(env: TabularEnv, q: QTable, episodes: int, max_steps: int,
             successes += 1
         if trace.truncated:
             truncations += 1
+    # added in order from 0.0: from Python 3.12 on, builtin sum()
+    # compensates, so the report's last bits would depend on the version
+    mean = reduce(add, totals, 0.0) / episodes
+    if not math.isfinite(mean):
+        raise NonFinite(f"mean total reward over {episodes} episodes is {mean}")
     return {
         "episodes": episodes,
-        # added in order from 0.0: from Python 3.12 on, builtin sum()
-        # compensates, so the report's last bits would depend on the version
-        "mean_total_reward": reduce(add, totals, 0.0) / episodes,
+        "mean_total_reward": mean,
         "min_total_reward": min(totals),
         "max_total_reward": max(totals),
         "success_rate": successes / episodes,

@@ -20,7 +20,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .errors import EmptyInput, RowError
+from .errors import EmptyInput, NonFinite, RowError
 from .ingest import _open_output, _open_rows, _source_name, _write_csv
 from .learner import EpisodeTrace, TraceStep
 
@@ -42,7 +42,8 @@ def compute_metrics(traces: Iterable[EpisodeTrace]) -> MetricsSeries:
     pass that keeps no trace, only the running totals of a block of
     episodes. Each episode's carry-forward row is added to per-step sums
     in episode order, as mean(axis=0) adds the rows of an episodes x steps
-    grid, so the means are bit-identical to the grid's."""
+    grid, so the means are bit-identical to the grid's. An episode total
+    or a per-step sum that is not finite raises NonFinite."""
     sums = np.zeros(1)  # per-step sums of the carry-forward rows so far
     totals = array("d")
     longest = 0
@@ -60,7 +61,7 @@ def compute_metrics(traces: Iterable[EpisodeTrace]) -> MetricsSeries:
     if block:
         sums = _fold(sums, block, totals[-len(block):])
     if longest <= 1:  # the grid mean sums a lone column pairwise, not in order
-        sums = np.array([np.sum(totals)])
+        sums = np.array([_sum(np.array(totals))])
     return MetricsSeries(means=array("d", sums / len(totals)), totals=totals)
 
 
@@ -73,16 +74,30 @@ def _fold(sums: np.ndarray, cumulatives: list[list[float]],
     Each episode row is its running totals, padded with its total. Over
     two or more columns np.add.reduce(axis=0) adds the rows in order;
     over a lone column it would sum them pairwise, so the grid has at
-    least two.
+    least two. A finite total means finite running totals, since each
+    reward is finite.
     """
+    block_totals = np.array(totals)
+    if not np.isfinite(block_totals).all():
+        raise NonFinite("an episode's total reward is not finite")
     lengths = np.array([len(c) for c in cumulatives])
     width = max(2, len(sums), int(lengths.max()))
     grid = np.empty((1 + len(cumulatives), width))
     grid[0, :len(sums)] = sums
     grid[0, len(sums):] = sums[-1]
-    grid[1:] = np.array(totals)[:, None]
+    grid[1:] = block_totals[:, None]
     grid[1:][np.arange(width) < lengths[:, None]] = list(chain.from_iterable(cumulatives))
-    return np.add.reduce(grid, axis=0)
+    return _sum(grid)
+
+
+def _sum(values: np.ndarray) -> np.ndarray:
+    """np.add.reduce over axis 0, with an overflow raised as NonFinite
+    rather than warned about and summed to infinity."""
+    try:
+        with np.errstate(over="raise"):
+            return np.add.reduce(values, axis=0)
+    except FloatingPointError:
+        raise NonFinite("the per-step reward sums overflow") from None
 
 
 # --- CSV emission --------------------------------------------------------------

@@ -5,9 +5,10 @@ next_state, reward, done). The outcomes of the pair (state s, action a)
 are the rows starts[k]:starts[k + 1], where k = s * n_actions + a, in
 listed order. The value-iteration oracle and validation read the
 columns. Everything else reads a pair's rows as TransitionEntry tuples
-through pair(), from one list of pairs indexed by k, built from the
-columns once: sampling draws from it, TabularEnv.step returns its rows,
-and the on-disk JSON document nests them by state and action.
+from pairs, one list indexed by k and built from the columns once, or
+through pair(): sampling and training draw from it, TabularEnv.step
+returns its rows, and the on-disk JSON document nests them by state and
+action.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ class TransitionTable:
                    {s: float(q) for s, q in initial_distribution.items()}, layout)
 
     @cached_property
-    def _pairs(self) -> list[list[TransitionEntry]]:
+    def pairs(self) -> list[list[TransitionEntry]]:
         """Each pair's rows in k order, built from the columns on first use."""
         entries = list(map(TransitionEntry, self.probability.tolist(),
                            self.next_state.tolist(), self.reward.tolist(),
@@ -86,7 +87,7 @@ class TransitionTable:
 
     def pair(self, state: int, action: int) -> list[TransitionEntry]:
         """The rows of pair k = state * n_actions + action, in listed order."""
-        return self._pairs[state * self.n_actions + action]
+        return self.pairs[state * self.n_actions + action]
 
     def goal_states(self) -> set[int]:
         """States entered by a terminating transition with positive reward."""
@@ -201,13 +202,13 @@ class TabularEnv:
     def __init__(self, table: TransitionTable):
         self.table = table
         # (probability, state) rows in state order, as reset draws from them
-        self._initial = [(p, s) for s, p in sorted(table.initial_distribution.items())]
+        self.initial_rows = [(p, s) for s, p in sorted(table.initial_distribution.items())]
         self.current_state: int | None = None
         self.episode_done = False
 
     def reset(self, rng: RngStream) -> int:
         """Draw an initial state; a single-point distribution skips the rng."""
-        self.current_state = _inverse_cdf(self._initial, rng)[1]
+        self.current_state = _inverse_cdf(self.initial_rows, rng)[1]
         self.episode_done = False
         return self.current_state
 

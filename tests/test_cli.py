@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -737,6 +738,65 @@ def short_fixture_manifest(tmp_path: Path, fixtures_dir: Path, name: str,
                      for key, value in doc["inputs"].items()}
     doc["learner"]["episodes"] = episodes
     return str(write_manifest(tmp_path, doc))
+
+
+def lake_with_goal_reward(reward: float) -> str:
+    """The non-slippery lake's table text with the goal's reward replaced."""
+    doc = json.loads(serialize(make_frozen_lake(slippery=False)))
+    for actions in doc["P"].values():
+        for rows in actions.values():
+            for row in rows:
+                if row[2] > 0:
+                    row[2] = reward
+    return json.dumps(doc)
+
+
+class TestOverflowingRewards:
+    """Rewards whose sums pass the largest float exit 2: no file holds inf,
+    NaN or Infinity, and numpy prints no overflow warning."""
+
+    def test_train_exit_2(self, tmp_path, capsys):
+        (tmp_path / "lake.json").write_text(lake_with_goal_reward(1e308))
+        manifest = write_manifest(tmp_path, {
+            "environment": {"kind": "table", "table_path": "lake.json"},
+            "learner": {"episodes": 3000, "seed": 3, "max_steps_per_episode": 40},
+            "out_dir": "out", "emit": {"metrics": True, "plots": True}})
+        assert main(["build", "--manifest", str(manifest)]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["train", "--manifest", str(manifest)]) == 2
+        assert "the per-step reward sums overflow" in capsys.readouterr().err
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["table.json"]
+
+    def test_eval_exit_2(self, tmp_path, capsys):
+        lake = tmp_path / "lake.json"
+        lake.write_text(lake_with_goal_reward(1.0))
+        manifest = write_manifest(tmp_path, {
+            "environment": {"kind": "table", "table_path": "lake.json"},
+            "learner": {"episodes": 200}, "out_dir": "out"})
+        for argv in (["build"], ["train"]):
+            assert main([*argv, "--manifest", str(manifest)]) == 0
+        # the trained q-table reaches the goal, now worth 1e308 a visit
+        (tmp_path / "out" / "table.json").write_text(lake_with_goal_reward(1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["eval", "--manifest", str(manifest), "--episodes", "50"]) == 2
+        assert "mean total reward over 50 episodes is inf" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "eval_report.json").exists()
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0,1,14,2,1e308,15,true\n1,1,14,2,1e308,15,true",
+         "the per-step reward sums overflow"),
+        ("0,1,13,2,1e308,14,false\n0,2,14,2,1e308,15,true",
+         "an episode's total reward is not finite"),
+    ], ids=["across-episodes", "within-an-episode"])
+    def test_export_metrics_exit_2(self, tmp_path, capsys, rows, message):
+        content = TRACE_HEADER + f"{rows}\n".encode()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(trace_argv(tmp_path, "export-metrics", content)) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "mean_cumulative.csv").exists()
 
 
 class TestPipelineClosure:

@@ -299,6 +299,11 @@ class TestEvaluateGreedy:
         with pytest.raises(DimensionMismatch):
             evaluate_greedy(env, QTable(5, 4), 1, 10, 0)
 
+    @pytest.mark.parametrize("shape", [(5, 4), (16, 3), (16, 5)])
+    def test_train_dimension_mismatch(self, lake_table, shape):
+        with pytest.raises(DimensionMismatch, match="q-table is"):
+            next(train(TabularEnv(lake_table), LearnerConfig(episodes=1), QTable(*shape)))
+
 
 class TestQTableDocument:
     def test_round_trip_exact(self):

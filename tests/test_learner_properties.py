@@ -4,8 +4,9 @@ act and q_update read Q rows as plain Python floats; these properties hold
 them to the numpy reductions bit for bit, on random finite rows with
 forced ties, all-zero rows and both signed zeros. A whole training run,
 with and without recorded steps, is held to a reference loop over a numpy
-Q array that records every step, and greedy evaluation to a summary of
-recorded episodes.
+Q array that records every step, and to run_episode(..., learning=True)
+over TabularEnv, the Gym-style loop that train unrolls; greedy evaluation
+is held to a summary of recorded episodes.
 """
 
 from itertools import accumulate
@@ -16,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from promo_gym.envcore import RngStream
+from promo_gym.errors import NonFinite
 from promo_gym.learner import (
     EVAL_STREAM,
     TRAIN_STREAM,
@@ -105,13 +107,13 @@ def normalized(weights: list[int]) -> list[float]:
 
 
 @st.composite
-def valid_tables(draw) -> TransitionTable:
+def valid_tables(draw, rewards=REWARD) -> TransitionTable:
     n_states = draw(st.integers(1, 6))
     n_actions = draw(st.integers(1, 4))
 
     def outcome_list() -> list[tuple]:
         weights = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
-        return [(p, draw(st.integers(0, n_states - 1)), draw(REWARD), draw(st.booleans()))
+        return [(p, draw(st.integers(0, n_states - 1)), draw(rewards), draw(st.booleans()))
                 for p in normalized(weights)]
 
     pairs = [outcome_list() for _ in range(n_states * n_actions)]
@@ -225,6 +227,57 @@ def test_training_matches_reference_loop(table, config, record_steps):
         assert trace.truncated == ref.truncated
     assert hexed(series.means) == hexed(ref_means)
     assert hexed(series.totals) == hexed(ref_totals)
+
+
+def layered_training(env: TabularEnv, config: LearnerConfig, q: QTable,
+                     record_steps: bool):
+    """train's episodes through run_episode(..., learning=True): act,
+    env.reset, env.step and q_update called one layer at a time."""
+    streams = RngStream(config.seed).substream(TRAIN_STREAM).substreams(config.episodes)
+    for episode, rng in enumerate(streams):
+        yield run_episode(env, q, config, epsilon_schedule(config, episode), rng,
+                          learning=True, record_steps=record_steps)
+
+
+def run_to_end(episodes) -> tuple[list[EpisodeTrace], str | None]:
+    """The traces an episode iterator yields, and the NonFinite message
+    that ended it, if one did."""
+    traces = []
+    try:
+        for trace in episodes:
+            traces.append(trace)
+    except NonFinite as exc:
+        return traces, str(exc)
+    return traces, None
+
+
+# rewards near the largest float, so some updates overflow
+HUGE_REWARD = st.one_of(REWARD, st.sampled_from([1e308, -1e308, 1.7e308]))
+OVERFLOWING_TABLE = TransitionTable.compile(1, 1, [[(1.0, 0, 1.7e308, False)]], {0: 1.0})
+
+
+@settings(deadline=None, max_examples=100)
+@given(table=st.one_of(valid_tables(), valid_tables(HUGE_REWARD)),
+       config=learner_configs(), record_steps=st.booleans())
+@example(table=OVERFLOWING_TABLE, record_steps=True,
+         config=LearnerConfig(alpha=1.0, episodes=1, max_steps_per_episode=5))
+def test_training_matches_layered_episodes(table, config, record_steps):
+    q = QTable(table.n_states, table.n_actions)
+    traces, error = run_to_end(train(TabularEnv(table), config, q, record_steps))
+
+    ref_q = QTable(table.n_states, table.n_actions)
+    ref_traces, ref_error = run_to_end(
+        layered_training(TabularEnv(table), config, ref_q, record_steps))
+
+    assert error == ref_error
+    assert np.array(q.values).tobytes() == np.array(ref_q.values).tobytes()
+    assert len(traces) == len(ref_traces)
+    for trace, ref in zip(traces, ref_traces):
+        assert trace.steps == ref.steps
+        assert hexed(trace.rewards) == hexed(ref.rewards)
+        assert trace.truncated == ref.truncated
+    if table is OVERFLOWING_TABLE:
+        assert error == "update at (0, 0) produced inf"
 
 
 def reference_evaluation(table: TransitionTable, q: QTable, episodes: int,

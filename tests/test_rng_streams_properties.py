@@ -1,4 +1,10 @@
-"""RngStream.substreams derives each stream exactly as substream does.
+"""RngStream draws what numpy's Generator draws, and substreams derives
+each stream exactly as substream does.
+
+random() and integers() compute numpy's Generator results from buffered
+PCG64 raw outputs, so a property holds long interleaved draw sequences to
+the installed numpy's Generator over the same seed sequence, in value and
+type, across buffer refills and the kept half of a 32-bit draw.
 
 substreams computes SeedSequence's hashing for many indices at once, so
 these properties hold it to numpy's SeedSequence and to substream: the
@@ -14,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from promo_gym.envcore import _CHUNK, RngStream
+from promo_gym.envcore import _CHUNK, _REFILL, RngStream
 
 EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1)
 seeds = st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1))
@@ -35,6 +41,42 @@ def numpy_draws(seed, key, plan=PLAN) -> list:
     """The same draws straight from numpy's SeedSequence and PCG64."""
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
     return [gen.random() if k is None else int(gen.integers(k)) for k in plan]
+
+
+# n on both sides of the 32-bit and 64-bit paths' edges, large powers of two,
+# whose rejection threshold is 0, and drawn values
+EDGE_BOUNDS = (1, 2, 3, 7, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**62, 2**63)
+bounds = st.one_of(st.sampled_from(EDGE_BOUNDS), st.integers(1, 2**32),
+                   st.integers(1, 2**63))
+# long enough that refills of the raw-output buffer fall between draws
+long_plans = st.lists(st.one_of(st.none(), bounds), min_size=3 * _REFILL,
+                      max_size=6 * _REFILL)
+
+
+@settings(deadline=None, max_examples=300)
+@given(seed=seeds, key=st.lists(keys, max_size=3).map(tuple), plan=long_plans)
+def test_draws_equal_numpy_generator_in_value_and_type(seed, key, plan):
+    stream = RngStream(seed).substream(*key)
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+    for k in plan:
+        got = stream.random() if k is None else stream.integers(k)
+        want = gen.random() if k is None else int(gen.integers(k))
+        assert type(got) is type(want)
+        assert got == want
+
+
+@pytest.mark.parametrize("n", [0, -1, 2**63 + 1, -(2**70), 2**70])
+def test_bound_out_of_range_raises_as_numpy_does(n):
+    gen = np.random.Generator(np.random.PCG64(5))
+    with pytest.raises(ValueError):
+        gen.integers(n)
+    with pytest.raises(ValueError):
+        RngStream(5).integers(n)
+
+
+def test_non_integer_bound_raises_type_error():
+    with pytest.raises(TypeError):
+        RngStream(5).integers(2.5)
 
 
 @settings(deadline=None, max_examples=200)
