@@ -55,26 +55,23 @@ class PromoGridSpec:
     avail: dict[int, frozenset[int]]
     goals: frozenset[tuple[int, int]] = frozenset()
     initial_states: frozenset[tuple[int, int]] = frozenset()
-    width: int = GRID_WIDTH
     step_reward: float = DEFAULT_STEP_REWARD
     forecast_fail_reward: float = DEFAULT_FORECAST_FAIL_REWARD
     goal_reward: float = DEFAULT_GOAL_REWARD
 
     def state_index(self, row: int, col: int) -> int:
-        return row * self.width + col
+        return row * GRID_WIDTH + col
 
     def check(self) -> None:
         """Raise SpecError on the first violated invariant."""
         if self.rows < 1:
             raise SpecError(f"rows must be >= 1, got {self.rows}")
-        if self.width != GRID_WIDTH:
-            raise SpecError(f"width is fixed at {GRID_WIDTH}, got {self.width}")
         for r in range(self.rows):
             cols = self.avail.get(r)
             if not cols:
                 raise SpecError(f"row {r}: empty availability set")
             for c in cols:
-                if not (0 <= c < self.width):
+                if not (0 <= c < GRID_WIDTH):
                     raise SpecError(f"row {r}: column {c} out of range")
         for r in self.avail:
             if not (0 <= r < self.rows):
@@ -87,7 +84,7 @@ class PromoGridSpec:
         if not self.initial_states:
             raise SpecError("initial_states must be non-empty")
         for r, c in self.initial_states:
-            if not (0 <= r < self.rows and 0 <= c < self.width):
+            if not (0 <= r < self.rows and 0 <= c < GRID_WIDTH):
                 raise SpecError(f"initial state ({r}, {c}) out of range")
 
 
@@ -105,7 +102,7 @@ def build_promo_mdp(spec: PromoGridSpec) -> TransitionTable:
     for r in range(spec.rows):
         avail = sorted(spec.avail[r])
         fan = 1.0 / len(avail)
-        for c in range(spec.width):
+        for c in range(GRID_WIDTH):
             s = spec.state_index(r, c)
             lower_row = r - 1 if r > 0 else r
             raise_row = r + 1 if r < spec.rows - 1 else r
@@ -123,11 +120,11 @@ def build_promo_mdp(spec: PromoGridSpec) -> TransitionTable:
     starts = sorted(spec.state_index(r, c) for r, c in spec.initial_states)
     weight = 1.0 / len(starts)
     return TransitionTable.compile(
-        spec.rows * spec.width,
+        spec.rows * GRID_WIDTH,
         N_ACTIONS,
         pairs,
         initial_distribution={s: weight for s in starts},
-        layout=(spec.rows, spec.width),
+        layout=(spec.rows, GRID_WIDTH),
     )
 
 
@@ -241,7 +238,7 @@ def _trailing_median_bin(series: list[DailySalesRecord], bins: BinningModel,
 def spec_to_json(spec: PromoGridSpec) -> str:
     doc = {
         "rows": spec.rows,
-        "width": spec.width,
+        "width": GRID_WIDTH,
         "avail": {str(r): sorted(spec.avail[r]) for r in sorted(spec.avail)},
         "goals": sorted([r, c] for r, c in spec.goals),
         "step_reward": spec.step_reward,
@@ -263,9 +260,12 @@ def spec_from_json(text: str) -> PromoGridSpec:
         r = jsondoc.index(key, rows, "grid spec avail")
         avail[r] = frozenset(jsondoc.integer(c, f"grid spec avail row {r}")
                              for c in jsondoc.array(cols, f"grid spec avail row {r}"))
+    # the width is fixed; a document may still name it
+    width = jsondoc.integer(doc.get("width", GRID_WIDTH), "grid spec width")
+    if width != GRID_WIDTH:
+        raise SpecError(f"width is fixed at {GRID_WIDTH}, got {width}")
     spec = PromoGridSpec(
         rows=rows,
-        width=jsondoc.integer(doc.get("width", GRID_WIDTH), "grid spec width"),
         avail=avail,
         goals=_cells(doc.get("goals", []), "grid spec goals"),
         initial_states=_cells(doc["initial_states"], "grid spec initial_states"),

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, count
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -267,7 +267,6 @@ def deserialize(text: str) -> TransitionTable:
 
     # the row checks stay inline: a large table has tens of thousands of rows
     states = jsondoc.obj(doc["P"], "P")
-    n_pairs = 0
     for s_key, actions in states.items():
         s = jsondoc.index(s_key, n_states, "P")
         where = f"state {s}"
@@ -277,31 +276,26 @@ def deserialize(text: str) -> TransitionTable:
                 raise SchemaError(f"{where}, action {a}: outcomes must be an array")
             for i, row in enumerate(rows):
                 if not isinstance(row, list) or len(row) != 4:
-                    raise SchemaError(
-                        f"{where}, action {a}, entry {i}: expected "
-                        "[probability, next_state, reward, done]"
-                    )
-                prob, nxt, rew, done = row
-                if type(prob) not in NUMBER or type(rew) not in NUMBER:
-                    raise SchemaError(
-                        f"{where}, action {a}, entry {i}: probability and reward "
-                        "must be numbers"
-                    )
-                if type(nxt) not in INTEGER:
-                    raise SchemaError(
-                        f"{where}, action {a}, entry {i}: next state must be an integer"
-                    )
-                if type(done) not in BOOLEAN:
-                    raise SchemaError(
-                        f"{where}, action {a}, entry {i}: done must be a boolean"
-                    )
-            n_pairs += 1
-    # keys are distinct indices, so the count proves completeness; a gap is at k <= n_pairs
-    if n_pairs < n_states * n_actions:
-        s, a = next(divmod(k, n_actions) for k in count()
-                    if str(k % n_actions) not in states.get(str(k // n_actions), ()))
-        raise SchemaError(f"state {s}: action {a} missing")
-    pairs = [states[str(s)][str(a)] for s in range(n_states) for a in range(n_actions)]
+                    problem = "expected [probability, next_state, reward, done]"
+                elif type(row[0]) not in NUMBER or type(row[2]) not in NUMBER:
+                    problem = "probability and reward must be numbers"
+                elif type(row[1]) not in INTEGER:
+                    problem = "next state must be an integer"
+                elif type(row[3]) not in BOOLEAN:
+                    problem = "done must be a boolean"
+                else:
+                    continue
+                raise SchemaError(f"{where}, action {a}, entry {i}: {problem}")
+    # the checked keys are distinct pairs, so the walk meets a gap by the
+    # number of pairs P holds: its cost is bounded by the document
+    pairs = []
+    for k in range(n_states * n_actions):
+        s, a = divmod(k, n_actions)
+        if a == 0:
+            actions = states.get(str(s), ())
+        if str(a) not in actions:
+            raise SchemaError(f"state {s}: action {a} missing")
+        pairs.append(actions[str(a)])
 
     try:
         return TransitionTable.compile(n_states, n_actions, pairs, initial, layout)

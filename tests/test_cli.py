@@ -596,6 +596,24 @@ class TestTableKeysAndCounts:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out" / "table.json").exists()
 
+    def test_header_without_actions_exits_2(self, tmp_path):
+        """A header naming 10**12 states and no actions exits 2 after reading
+        what P holds, in a child interpreter whose timeout fails the test if
+        the read is sized by the header instead."""
+        (tmp_path / "table.json").write_text(json.dumps({
+            "n_states": 10**12, "n_actions": 0, "initial_distribution": {}, "P": {}}))
+        manifest = write_manifest(tmp_path, {
+            "environment": {"kind": "table", "table_path": "table.json"},
+            "out_dir": "out",
+        })
+        proc = subprocess.run(
+            [sys.executable, "-m", "promo_gym.cli", "build", "--manifest", str(manifest)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert "n_actions must be >= 1, got 0" in proc.stderr
+
     @pytest.mark.parametrize("text", [
         b"[" * 100_000,
         b'{"n_states": ' + b"1" * 5000 + b"}",

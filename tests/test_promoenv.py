@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from datetime import date, timedelta
 
 import numpy as np
@@ -145,9 +146,12 @@ class TestSpecValidation:
             build_promo_mdp(spec)
 
     def test_width_pinned_to_ten(self, reference_spec):
-        spec = dataclasses.replace(reference_spec, width=8)
-        with pytest.raises(SpecError):
-            spec.check()
+        doc = json.loads(spec_to_json(reference_spec))
+        assert doc["width"] == 10
+        for width in (8, 11):
+            doc["width"] = width
+            with pytest.raises(SpecError, match=f"^width is fixed at 10, got {width}$"):
+                spec_from_json(json.dumps(doc))
 
     def test_missing_initial_states_rejected(self):
         spec = PromoGridSpec(
@@ -330,7 +334,7 @@ class TestSpecDocument:
         spec = spec_from_json(text)
         assert spec.goal_reward == 20.0
         assert spec.step_reward == -1.0
-        assert spec.width == 10
+        assert json.loads(spec_to_json(spec))["width"] == 10
 
     def test_invalid_document_rejected(self):
         with pytest.raises(SpecError):

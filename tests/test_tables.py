@@ -1,4 +1,7 @@
+import json
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -228,6 +231,19 @@ class TestSerialization:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("n_actions", [0, -1])
+    def test_header_without_actions_reads_only_the_document(self, n_actions):
+        # 10**12 states with no actions name no pair; a read sized by the
+        # header instead of by P would run for days, so a child interpreter
+        # fails the test on its timeout rather than hanging the suite
+        text = json.dumps({"n_states": 10**12, "n_actions": n_actions,
+                           "initial_distribution": {}, "P": {}})
+        code = ("import sys; from promo_gym.tables import deserialize, validate; "
+                "print(validate(deserialize(sys.argv[1]))[0])")
+        proc = subprocess.run([sys.executable, "-c", code, text], capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert proc.stdout == f"n_actions must be >= 1, got {n_actions}\n"
 
     def test_parse_error_carries_position(self):
         with pytest.raises(ParseError) as err:

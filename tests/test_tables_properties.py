@@ -1,10 +1,11 @@
 """Properties of transition tables, checked through `table.json` text: built
 tables validate clean and serialize back to the same bytes from any order
 of their keys, which are the document nested from the columns; sampling
-picks the row the columns' inverse CDF picks; the value-iteration solution
-is a fixed point of the Bellman backup; a fault injected into the text is
-reported by validate at its state, action and entry; mutated text only
-ever raises PromoGymError."""
+picks the row the columns' inverse CDF picks, and each row about as often
+as its probability says; the value-iteration solution is a fixed point of
+the Bellman backup; a fault injected into the text is reported by validate
+at its state, action and entry; mutated text only ever raises
+PromoGymError."""
 
 import json
 import math
@@ -19,6 +20,7 @@ from promo_gym.frozen_lake import make_frozen_lake
 from promo_gym.promoenv import GRID_WIDTH, PromoGridSpec, build_promo_mdp
 from promo_gym.solve import value_iteration
 from promo_gym.tables import deserialize, serialize, step_sample, validate
+from test_learner_properties import valid_tables
 
 LAKES = [serialize(make_frozen_lake(slippery)) for slippery in (False, True)]
 
@@ -129,6 +131,29 @@ def test_step_sample_picks_the_row_of_the_columns_inverse_cdf(text, seed):
         assert (outcome.probability, outcome.next_state, outcome.reward,
                 outcome.done) == (table.probability[row], table.next_state[row],
                                   table.reward[row], table.done[row])
+
+
+# Hoeffding (JASA 58, 1963): N draws put a row's frequency further than
+# sqrt(ln(2 / delta) / 2N) from its probability with chance below delta
+DRAWS = 4_000
+DELTA = 1e-9
+HOEFFDING = math.sqrt(math.log(2 / DELTA) / (2 * DRAWS))
+
+
+@settings(max_examples=50, deadline=None)
+@given(drawn=valid_tables(), seed=st.integers(0, 2**64 - 1))
+def test_step_sample_draws_each_row_as_often_as_its_probability(drawn, seed):
+    table = deserialize(serialize(drawn))
+    rng = RngStream(seed)
+    for k, rows in enumerate(table.pairs):
+        if len(rows) < 2:
+            continue
+        s, a = divmod(k, table.n_actions)
+        counts = dict.fromkeys(map(id, rows), 0)  # equal rows are counted apart
+        for _ in range(DRAWS):
+            counts[id(step_sample(table, s, a, rng))] += 1
+        for row in rows:
+            assert abs(counts[id(row)] / DRAWS - row.probability) <= HOEFFDING, (k, row)
 
 
 @settings(deadline=None)
