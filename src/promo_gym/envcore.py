@@ -1,9 +1,9 @@
-"""Seeded RNG streams, the one source of randomness of every environment.
+"""Seeded RNG streams, the one source of randomness of every run.
 
-Every environment in the toolkit is episodic and discrete: states and
-actions are integer indices, one step samples a single transition, and
-all randomness flows through an explicitly seeded RngStream so any run
-can be replayed bit-for-bit.
+RngStream computes numpy Generator's random() and integers() draws from
+PCG64's raw outputs, and derives independent sub-streams keyed by integers,
+many at once by SeedSequence's hashing done in numpy arithmetic, so any
+run can be replayed bit-for-bit.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
-_MASK64 = 2**64 - 1
 _CHUNK = 4096  # indices whose states substreams computes at once
 _REFILL = 16  # raw outputs an RngStream draws from PCG64 at once
 
@@ -89,21 +88,12 @@ class RngStream:
         return (self._next64() >> 11) * 2.0**-53
 
     def integers(self, n: int) -> int:
-        """Uniform integer in [0, n), by Lemire's method over the 32-bit
-        draws for n up to 2**32 and over raw outputs above, as numpy's
-        Generator.integers draws a scalar int64."""
+        """Uniform integer in [0, n) for n up to 2**32, by Lemire's method
+        over the 32-bit draws, as numpy's Generator.integers draws a scalar
+        int64. Every caller bounds it by an action count."""
         n = operator.index(n)
-        if not 0 < n <= 2**63:
-            raise ValueError(f"integers needs 0 < n <= 2**63, got {n}")
-        if n > 2**32:
-            m = self._next64() * n
-            if m & _MASK64 < n:
-                threshold = (2**64 - n) % n
-                while m & _MASK64 < threshold:
-                    m = self._next64() * n
-            return m >> 64
-        if n == 2**32:
-            return self._next32()
+        if not 0 < n <= 2**32:
+            raise ValueError(f"integers needs 0 < n <= 2**32, got {n}")
         if n == 1:
             return 0
         m = self._next32() * n

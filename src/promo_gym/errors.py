@@ -80,7 +80,8 @@ class DimensionMismatch(PromoGymError):
 
 
 class EmptyInput(PromoGymError):
-    """Metrics requested over an empty trace collection."""
+    """A stage's input is missing, empty or negative: a run file, a manifest
+    field, traces or their steps, chart points, or an eval episode count."""
 
 
 class ConfigError(PromoGymError):

@@ -100,15 +100,10 @@ class LearnerConfig:
         if not (0 <= self.seed < 2**64):
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
-    def decay_episodes(self) -> int:
-        if self.epsilon_decay_episodes is not None:
-            return self.epsilon_decay_episodes
-        return max(1, self.episodes // 2)
-
 
 def epsilon_schedule(config: LearnerConfig, episode: int) -> float:
     """Exploration rate for a 0-based episode index."""
-    span = config.decay_episodes()
+    span = config.epsilon_decay_episodes or max(1, config.episodes // 2)
     frac = min(1.0, episode / span)
     return config.epsilon_start + (config.epsilon_end - config.epsilon_start) * frac
 

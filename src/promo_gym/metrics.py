@@ -188,13 +188,6 @@ def write_line_chart_svg(target: str | Path, xs: Sequence[float], ys: Sequence[f
     y_span = (y_hi - y_lo) or 1.0
     plot_w = _SVG_W - 2 * _MARGIN
     plot_h = _SVG_H - 2 * _MARGIN
-
-    def sx(x: float) -> float:
-        return _MARGIN + (x - x_lo) / x_span * plot_w
-
-    def sy(y: float) -> float:
-        return _SVG_H - _MARGIN - (y - y_lo) / y_span * plot_h
-
     head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
         f'viewBox="0 0 {_SVG_W} {_SVG_H}">',
@@ -220,7 +213,9 @@ def write_line_chart_svg(target: str | Path, xs: Sequence[float], ys: Sequence[f
         f'font-family="sans-serif" font-size="10">{y_hi:g}</text>',
         '<polyline points="',
     ]
-    coords = (f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
+    coords = (f"{_MARGIN + (x - x_lo) / x_span * plot_w:.2f},"
+              f"{_SVG_H - _MARGIN - (y - y_lo) / y_span * plot_h:.2f}"
+              for x, y in zip(xs, ys))
     with _open_output(target) as handle:
         handle.write("\n".join(head))
         handle.write(next(coords))

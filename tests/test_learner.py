@@ -137,7 +137,11 @@ class TestLearnerConfig:
     def test_defaults_valid(self):
         config = LearnerConfig()
         assert config.alpha == 0.1 and config.gamma == 0.99
-        assert config.decay_episodes() == config.episodes // 2
+        # epsilon reaches its floor at the middle of training, not before
+        floor = epsilon_schedule(config, config.episodes)
+        half = config.episodes // 2
+        assert epsilon_schedule(config, half) == floor
+        assert epsilon_schedule(config, half - 1) > floor
 
     @pytest.mark.parametrize("kwargs", [
         {"alpha": 0.0},

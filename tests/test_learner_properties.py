@@ -6,7 +6,8 @@ forced ties, all-zero rows and both signed zeros. A whole training run,
 with and without recorded steps, is held to a reference loop over a numpy
 Q array that records every step, and to run_episode(..., learning=True)
 over TabularEnv, the Gym-style loop that train unrolls; greedy evaluation
-is held to a summary of recorded episodes.
+is held to a summary of recorded episodes, and every action draw of
+either is bounded by the table's action count.
 """
 
 from itertools import accumulate
@@ -278,6 +279,33 @@ def test_training_matches_layered_episodes(table, config, record_steps):
         assert trace.truncated == ref.truncated
     if table is OVERFLOWING_TABLE:
         assert error == "update at (0, 0) produced inf"
+
+
+@settings(deadline=None, max_examples=50)
+@given(table=valid_tables(), config=learner_configs(), eval_episodes=st.integers(1, 20))
+@example(table=TransitionTable.compile(1, 4, [[(1.0, 0, 0.0, False)]] * 4, {0: 1.0}),
+         eval_episodes=1,
+         config=LearnerConfig(epsilon_start=1.0, episodes=3, max_steps_per_episode=4))
+def test_every_action_draw_is_bounded_by_the_action_count(table, config, eval_episodes):
+    """RngStream.integers keeps only the path for bounds up to 2**32: every
+    caller in training and greedy evaluation asks for an action index."""
+    bounds = []
+    integers = RngStream.integers
+
+    def spy(rng, n):
+        bounds.append(n)
+        return integers(rng, n)
+
+    q = QTable(table.n_states, table.n_actions)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RngStream, "integers", spy)
+        for _ in train(TabularEnv(table), config, q, record_steps=False):
+            pass
+        evaluate_greedy(TabularEnv(table), q, eval_episodes,
+                        config.max_steps_per_episode, config.seed)
+    assert all(n == table.n_actions for n in bounds)
+    # epsilon 1.0 explores on the first step of the first episode
+    assert bounds or config.epsilon_start < 1.0
 
 
 def reference_evaluation(table: TransitionTable, q: QTable, episodes: int,

@@ -4,7 +4,8 @@ each stream exactly as substream does.
 random() and integers() compute numpy's Generator results from buffered
 PCG64 raw outputs, so a property holds long interleaved draw sequences to
 the installed numpy's Generator over the same seed sequence, in value and
-type, across buffer refills and the kept half of a 32-bit draw.
+type, across buffer refills and the kept half of a 32-bit draw. integers
+takes bounds up to 2**32 only, the one path of numpy's it reproduces.
 
 substreams computes SeedSequence's hashing for many indices at once, so
 these properties hold it to numpy's SeedSequence and to substream: the
@@ -28,9 +29,9 @@ keys = st.one_of(st.integers(0, 3), st.integers(0, 2**32 - 1),
                  st.integers(2**32, 2**40), st.just(2**64))
 prefixes = st.lists(keys, max_size=2).map(tuple)
 # None draws random(), a number k draws integers(k)
-draw_plans = st.lists(st.one_of(st.none(), st.integers(1, 10), st.integers(1, 2**62)),
+draw_plans = st.lists(st.one_of(st.none(), st.integers(1, 10), st.integers(1, 2**32)),
                       min_size=8, max_size=8)
-PLAN = [None, 3, None, 1, None, 2**40, None, 7]
+PLAN = [None, 3, None, 1, None, 2**32, None, 7]
 
 
 def first_draws(stream, plan=PLAN) -> list:
@@ -43,11 +44,12 @@ def numpy_draws(seed, key, plan=PLAN) -> list:
     return [gen.random() if k is None else int(gen.integers(k)) for k in plan]
 
 
-# n on both sides of the 32-bit and 64-bit paths' edges, large powers of two,
-# whose rejection threshold is 0, and drawn values
-EDGE_BOUNDS = (1, 2, 3, 7, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**62, 2**63)
+# n at the edges of the one 32-bit path, powers of two, whose rejection
+# threshold is 0, and drawn values, some above 2**31, where up to half of a
+# bound's draws are rejected
+EDGE_BOUNDS = (1, 2, 3, 7, 2**31, 2**31 + 1, 2**32 - 1, 2**32)
 bounds = st.one_of(st.sampled_from(EDGE_BOUNDS), st.integers(1, 2**32),
-                   st.integers(1, 2**63))
+                   st.integers(2**31, 2**32))
 # long enough that refills of the raw-output buffer fall between draws
 long_plans = st.lists(st.one_of(st.none(), bounds), min_size=3 * _REFILL,
                       max_size=6 * _REFILL)
@@ -72,6 +74,14 @@ def test_bound_out_of_range_raises_as_numpy_does(n):
         gen.integers(n)
     with pytest.raises(ValueError):
         RngStream(5).integers(n)
+
+
+@pytest.mark.parametrize("n", [2**32 + 1, 2**40, 2**62, 2**63])
+def test_bound_above_two_to_the_32_raises_without_a_draw(n):
+    stream = RngStream(5)
+    with pytest.raises(ValueError, match=re.escape("0 < n <= 2**32")):
+        stream.integers(n)
+    assert stream.random() == RngStream(5).random()
 
 
 def test_non_integer_bound_raises_type_error():
